@@ -6,7 +6,8 @@ cross-checks as JSON), report (crossings, scaling exponents, mean-field
 summary).  Flags can also be supplied through a key=value config file;
 explicit flags win.  Outputs are CSV (comma separated, header row, LF,
 UTF-8, 17 significant digits) or JSON, written atomically when --out is
-given.  MH_THREADS caps sweep parallelism; results do not depend on it.
+given.  Each of sweep, figure1 and report solves one batch of couplings
+per exponent.
 
 Exit codes: 0 success, 1 failed checks or too many failed rows, 2 domain
 error or bad usage, 3 solver failure.
@@ -268,19 +269,20 @@ def cmd_figure1(args) -> int:
     else:
         grid = [float(v) for v in np.linspace(0.005, 0.495, 99)]
     params = ModelParams(omega0=args.omega0)
+    batches = [(2, slv.solve_batch(0.4, grid, params.omega0, args.tol_root)),
+               (4, slv.solve_batch(0.3, grid, params.omega0, args.tol_root))]
     rows = []
     failed = 0
     nan = float("nan")
-    for lam in grid:
+    for i, lam in enumerate(grid):
         row = [lam, nan, nan, nan, nan, nan]
         try:
-            point = ModelParams(omega0=params.omega0, coupling=lam)
-            xi = derive_frequencies(point).xi
+            xi = derive_frequencies(ModelParams(omega0=params.omega0, coupling=lam)).xi
             row[1] = xi
-            for slot, q in ((2, 0.4), (4, 0.3)):
-                sol = slv.solve_xi_p(point, q, tol=args.tol_root)
-                row[slot] = sol.xi_p
-                row[slot + 1] = sol.xi_p / xi if xi > 0.0 else nan
+            for slot, batch in batches:
+                xi_p = batch.solution(i).xi_p
+                row[slot] = xi_p
+                row[slot + 1] = xi_p / xi if xi > 0.0 else nan
         except (DomainError, BracketError):
             failed += 1
         rows.append(row)
@@ -316,13 +318,14 @@ def cmd_report(args) -> int:
         curves.append(entry)
 
     lam_grid = [float(v) for v in np.linspace(0.02, 0.44, 22)]
+    recovery = slv.solve_batch(0.5, lam_grid, args.omega0, args.tol_root)
     max_xi_gap = 0.0
     max_energy_gap = 0.0
     max_duality_gap = 0.0
-    for lam in lam_grid:
+    for i, lam in enumerate(lam_grid):
         point = ModelParams(omega0=args.omega0, coupling=lam)
         f = derive_frequencies(point)
-        sol = slv.solve_xi_p(point, 0.5, tol=args.tol_root)
+        sol = recovery.solution(i)
         e_p = energy_parametric(point, KernelSpec.sum_one(0.5), sol.xi_p)
         e_ex = exact_energy(point)
         max_xi_gap = max(max_xi_gap, abs(sol.xi_p - f.xi))

@@ -128,8 +128,9 @@ class EnergyBreakdown:
 def derive_frequencies(params: ModelParams) -> DerivedFrequencies:
     """Normal-mode frequencies, their means, and the correlation parameter.
 
-    xi is evaluated from the quarter-power closed form in the coupling; the
-    z route agrees with it to machine precision and is kept for its sign.
+    xi is evaluated from the quarter-power closed form in the coupling, with
+    1 - (1 - 2*coupling)^(1/4) taken as -expm1(log1p(-2*coupling)/4) so that
+    it keeps its relative accuracy at small coupling; z is kept for its sign.
     """
     radicand = 1.0 - 2.0 * params.coupling
     if radicand <= 0.0:
@@ -143,8 +144,8 @@ def derive_frequencies(params: ModelParams) -> DerivedFrequencies:
     s1 = math.sqrt(omega1)
     s2 = math.sqrt(omega2)
     z = -(s1 - s2) / (s1 + s2)
-    u = radicand ** 0.25
-    xi = ((1.0 - u) / (1.0 + u)) ** 2
+    one_minus_u = -math.expm1(math.log1p(-2.0 * params.coupling) / 4.0)
+    xi = (one_minus_u / (2.0 - one_minus_u)) ** 2
     return DerivedFrequencies(omega1, omega2, omega_s, omega_bar, z, xi)
 
 

@@ -69,6 +69,7 @@ ORACLE_LAMBDA_MAX = 0.45
 
 _DOUBLING_TOL = 1e-9
 _REFERENCE_N_MAX = 170  # unnormalized Hermite values overflow soon after
+_GAUSS_HERMITE_N_MAX = 370  # hermgauss weights are all 0 at 371 nodes, inf/NaN after
 
 
 class RuleKind(Enum):
@@ -103,10 +104,16 @@ def gauss_hermite_rule(count: int = 96, scale: float = 1.0) -> QuadratureRule:
     """Gauss-Hermite rule mapped to integrands decaying like exp(-scale*x^2).
 
     Weights carry the exp(t^2) lift, assembled in log space to dodge
-    intermediate underflow at large node counts.
+    intermediate underflow at large node counts.  Counts above 370 are
+    refused: there numpy's hermgauss weights underflow to zero or overflow.
     """
     if count < 2:
         raise DomainError(f"need at least 2 nodes, got {count}")
+    if count > _GAUSS_HERMITE_N_MAX:
+        raise DomainError(
+            f"Gauss-Hermite weights are finite and positive only up to "
+            f"{_GAUSS_HERMITE_N_MAX} nodes, got {count}"
+        )
     if not scale > 0.0:
         raise DomainError(f"scale must be positive, got {scale}")
     t, w = _hermgauss(count)

@@ -49,6 +49,12 @@ class TestFrequencies:
         assert f.omega_bar == pytest.approx(ref.OMEGA_BAR_03, rel=1e-15)
         assert f.xi == pytest.approx(ref.XI_03, rel=1e-14)
 
+    def test_small_coupling_keeps_relative_accuracy(self):
+        # 1 - (1 - 2*coupling)^(1/4) cancels in doubles; xi must not lose digits to it
+        for lam, expect in ((1e-9, ref.XI_1EM9), (1e-5, ref.XI_1EM5)):
+            xi = derive_frequencies(ModelParams(coupling=lam)).xi
+            assert abs(xi / expect - 1.0) <= 2e-15
+
     def test_xi_equals_z_squared(self):
         for lam in (-2.0, -0.3, 0.0, 0.1, 0.3, 0.45, 0.4999):
             f = derive_frequencies(ModelParams(coupling=lam))

@@ -46,6 +46,21 @@ class TestRules:
         got = quad_1d(rule, rule.nodes ** 2 * np.exp(-3.0 * rule.nodes ** 2))
         assert got == pytest.approx(math.sqrt(math.pi / 3.0) / 6.0, rel=1e-12)
 
+    def test_gauss_hermite_valid_up_to_the_node_cap(self):
+        # weights stay finite and positive and the Gaussian moments 0, 2, 4
+        # come out exact for every count up to 370; 371 nodes are refused
+        moments = {0: math.sqrt(math.pi), 2: math.sqrt(math.pi) / 2, 4: 0.75 * math.sqrt(math.pi)}
+        for count in range(2, 371):
+            rule = gauss_hermite_rule(count)
+            assert np.all(np.isfinite(rule.weights)) and np.all(rule.weights > 0.0)
+            gauss = np.exp(-rule.nodes ** 2)
+            for k, exact in moments.items():
+                if k < 2 * count:
+                    value = quad_1d(rule, rule.nodes ** k * gauss)
+                    assert abs(value / exact - 1.0) <= 1e-13, (count, k)
+        with pytest.raises(DomainError, match="370"):
+            gauss_hermite_rule(371)
+
     def test_gauss_hermite_validation(self):
         with pytest.raises(DomainError):
             gauss_hermite_rule(1)

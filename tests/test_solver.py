@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_values as ref
+from harmonium import solver as solver_module
 from harmonium import (
     BracketError,
     DomainError,
@@ -14,6 +15,7 @@ from harmonium import (
     derive_frequencies,
     find_crossing,
     scaling_exponent,
+    solve_batch,
     solve_xi_p,
     stationarity_lhs,
     stationarity_rhs,
@@ -195,21 +197,95 @@ class TestSweep:
         assert math.isnan(r.dual_coupling)
         assert r.error is None
 
-    def test_worker_count_does_not_change_results(self):
-        grid = list(np.linspace(0.05, 0.45, 9))
-        serial = sweep(BASE, [0.4, 0.5], grid, max_workers=1)
-        threaded = sweep(BASE, [0.4, 0.5], grid, max_workers=4)
-        assert serial == threaded
+    def test_tiny_coupling_ratio_at_square_root_exponent(self):
+        # xi and xi_p both keep their relative accuracy at coupling 1e-9
+        r = sweep(BASE, [0.5], [1e-9])[0]
+        assert abs(r.ratio - 1.0) <= 1e-13
 
-    def test_env_worker_cap(self, monkeypatch):
-        from harmonium.solver import default_workers
 
-        monkeypatch.setenv("MH_THREADS", "3")
-        assert default_workers() == 3
-        monkeypatch.setenv("MH_THREADS", "junk")
-        assert default_workers() == 1
-        monkeypatch.delenv("MH_THREADS")
-        assert default_workers() == 1
+class TestBatch:
+    LAMS = [0.0, 1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.3, 0.45, 0.4999]
+
+    def test_rows_match_single_solves_bit_for_bit(self):
+        for omega0 in (1.0, 2.0):
+            for q in (0.3, 0.45, 0.5, 0.6, 0.7):
+                batch = solve_batch(q, self.LAMS, omega0)
+                for i, lam in enumerate(self.LAMS):
+                    single = solve_xi_p(ModelParams(omega0=omega0, coupling=lam), q)
+                    assert batch.solution(i) == single
+
+    def test_iteration_count(self):
+        for q in (0.3, 0.4, 0.5, 0.6, 0.7):
+            batch = solve_batch(q, np.geomspace(1e-9, 0.4999, 64))
+            assert all(e is None for e in batch.errors)
+            assert batch.iterations.max() <= 10
+
+    def test_per_row_errors(self):
+        batch = solve_batch(0.4, [0.0, 0.3, 0.49995, -0.1])
+        assert batch.xi_p[0] == 0.0 and batch.iterations[0] == 0 and batch.errors[0] is None
+        assert batch.solution(1) == solve_xi_p(P03, 0.4)
+        for i, lam in ((2, 0.49995), (3, -0.1)):
+            with pytest.raises(DomainError) as single:
+                stationarity_rhs(ModelParams(coupling=lam))
+            assert isinstance(batch.errors[i], DomainError)
+            assert str(batch.errors[i]) == str(single.value)
+            assert math.isnan(batch.xi_p[i]) and math.isnan(batch.residual[i])
+            with pytest.raises(DomainError, match="stationarity condition is defined"):
+                batch.solution(i)
+
+    def test_failed_walk_fails_only_its_row(self, monkeypatch):
+        # the q = 1/2 root at coupling 1e-9 is 6.25e-20, below a floor of 1e-16
+        monkeypatch.setattr(solver_module, "_WALK_FLOOR", 1e-16)
+        batch = solve_batch(0.5, [1e-9, 1e-6, 0.3])
+        assert isinstance(batch.errors[0], BracketError)
+        assert "down to xi_p = 1e-16" in str(batch.errors[0])
+        assert math.isnan(batch.xi_p[0])
+        assert batch.errors[1] is None and batch.errors[2] is None
+        assert batch.xi_p[2] == solve_xi_p(P03, 0.5).xi_p
+
+    def test_missing_sign_change_fails_only_its_row(self, monkeypatch):
+        # a scan window that ends below the q = 0.4 root at coupling 0.3
+        monkeypatch.setattr(solver_module, "_SCAN", np.geomspace(1e-12, 0.005, 2048))
+        batch = solve_batch(0.4, [0.01, 0.3])
+        assert batch.errors[0] is None
+        assert batch.xi_p[0] == pytest.approx(solve_xi_p(ModelParams(coupling=0.01), 0.4).xi_p, rel=1e-14)
+        assert isinstance(batch.errors[1], BracketError)
+        assert "no sign change" in str(batch.errors[1]) and "0.005" in str(batch.errors[1])
+        with pytest.raises(BracketError):
+            batch.solution(1)
+
+    def test_non_monotone_scan_fails_every_row(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "_SCAN", np.geomspace(1e-12, 1.0 - 1e-9, 2048)[::-1])
+        batch = solve_batch(0.4, [0.0, 1e-9, 0.3, 0.49995])
+        assert batch.errors[0] is None and batch.xi_p[0] == 0.0
+        for i in (1, 2):
+            assert isinstance(batch.errors[i], BracketError)
+            assert "not increasing" in str(batch.errors[i])
+        assert isinstance(batch.errors[3], DomainError)
+
+    def test_exponent_and_tol_fail_every_row(self):
+        for q, tol in ((0.25, 1e-15), (0.4, 1e-16)):
+            batch = solve_batch(q, [0.0, 0.3], tol=tol)
+            for i in range(2):
+                with pytest.raises(DomainError):
+                    batch.solution(i)
+
+    def test_tol_is_the_bracket_width(self):
+        tight = solve_batch(0.4, self.LAMS[1:])
+        loose = solve_batch(0.4, self.LAMS[1:], tol=1e-6)
+        assert np.all(np.abs(loose.xi_p / tight.xi_p - 1.0) <= 1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        q=st.floats(0.3, 0.7),
+        lams=st.lists(st.floats(1e-9, 0.4999), min_size=1, max_size=6),
+    )
+    def test_residual_property(self, q, lams):
+        batch = solve_batch(q, lams)
+        for i in range(len(lams)):
+            sol = batch.solution(i)
+            assert abs(stationarity_lhs(q, sol.xi_p) - sol.rhs) <= 1e-13 * max(1.0, sol.rhs)
+            assert sol.residual <= 1e-13 * max(1.0, sol.rhs)
 
 
 class TestCrossing:

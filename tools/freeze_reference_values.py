@@ -124,6 +124,10 @@ print("# coupling = 0.01, omega0 = 1")
 _, _, _, _, xi001 = freqs(mp.mpf("0.01"))
 emit("XI_001", xi001)
 print()
+print("# couplings 1e-9 and 1e-5, where 1 - (1 - 2*coupling)^(1/4) cancels in doubles")
+emit("XI_1EM9", freqs(mp.mpf("1e-9"))[4])
+emit("XI_1EM5", freqs(mp.mpf("1e-5"))[4])
+print()
 print("# coupling = 0.3, omega0 = 2 (scale covariance anchor)")
 om0 = mp.mpf(2)
 _, _, omega_s_w2, _, xi_w2 = freqs(lam3, om0)
