@@ -7,7 +7,9 @@ summary).  Flags can also be supplied through a key=value config file;
 explicit flags win.  Outputs are CSV (comma separated, header row, LF,
 UTF-8, 17 significant digits) or JSON, written atomically when --out is
 given.  Each of sweep, figure1 and report solves one batch of couplings
-per exponent.
+per exponent.  The argument parser is built once per process; `main`
+dispatches to the module's `cmd_<subcommand>` function by name at call
+time.
 
 Exit codes: 0 success, 1 failed checks or too many failed rows, 2 domain
 error or bad usage, 3 solver failure.
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -363,6 +366,7 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--omega0", type=float, default=None, help="confinement frequency (default 1.0)")
@@ -387,25 +391,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("solve", parents=[common],
-                   help="solve the stationarity condition at one (lambda, q)").set_defaults(func=cmd_solve)
+                   help="solve the stationarity condition at one (lambda, q)")
     sub.add_parser("sweep", parents=[common],
-                   help="tabulate solutions over a coupling grid").set_defaults(func=cmd_sweep)
+                   help="tabulate solutions over a coupling grid")
     sub.add_parser("figure1", parents=[common],
-                   help="ratio curves for q = 0.4 and 0.3 on the standard grid").set_defaults(func=cmd_figure1)
+                   help="ratio curves for q = 0.4 and 0.3 on the standard grid")
     verify = sub.add_parser("verify", parents=[common], help="run the quadrature cross-checks")
     verify.add_argument("--tamper", action="store_true", help=argparse.SUPPRESS)
-    verify.set_defaults(func=cmd_verify)
     sub.add_parser("report", parents=[common],
-                   help="crossings, scaling exponents and mean-field summary").set_defaults(func=cmd_report)
+                   help="crossings, scaling exponents and mean-field summary")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         _merge_config(args)
-        return args.func(args)
+        # looked up at call time, so that a wrapped or patched cmd_* is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 from .model import ModelParams, derive_frequencies
+from .spectral import _check_xi
 
 __all__ = [
     "EntropyReport",
@@ -36,32 +35,23 @@ __all__ = [
 ]
 
 
-def _check_xi(xi):
-    arr = np.asarray(xi, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
-        raise DomainError(f"xi must lie in [0, 1), got {xi}")
-    return arr
-
-
 def purity(xi):
     """(1 - xi)/(1 + xi); equals sum of squared occupation weights."""
-    arr = _check_xi(xi)
-    out = (1.0 - arr) / (1.0 + arr)
-    return float(out) if out.ndim == 0 else out
+    x = _check_xi(xi)
+    return (1.0 - x) / (1.0 + x)
 
 
 def linear_entropy(xi):
     """1 - purity(xi); zero only for the uncorrelated spectrum."""
-    arr = _check_xi(xi)
-    out = 2.0 * arr / (1.0 + arr)
-    return float(out) if out.ndim == 0 else out
+    x = _check_xi(xi)
+    return 2.0 * x / (1.0 + x)
 
 
 def quasiparticle_weight(xi):
     """Occupation gap P_0 - P_1 = (1 - xi)^2 between the two leading orbitals."""
-    arr = _check_xi(xi)
-    out = (1.0 - arr) ** 2
-    return float(out) if out.ndim == 0 else out
+    w = 1.0 - _check_xi(xi)
+    # a product, not **2: libm's pow and numpy's square can round apart
+    return w * w
 
 
 @dataclass(frozen=True)

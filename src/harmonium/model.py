@@ -48,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import golden_section
 
 __all__ = [
     "LAMBDA_STABILITY",
@@ -224,32 +223,19 @@ def effective_potential(params: ModelParams, x):
     return (float(v) if v.ndim == 0 else v), mu
 
 
-def _hf_objective(omega, params):
-    return 0.5 * omega + (1.0 - params.coupling) * params.omega0 ** 2 / (2.0 * omega)
-
-
 def hartree_fock(params: ModelParams, allow_attractive: bool = False):
     """Best single-Gaussian (mean-field) energy and its orbital frequency.
 
     Minimizes omega/2 + (1 - coupling)*omega0^2/(2*omega) over the orbital
-    frequency omega.  The stationary point is omega_hf = omega0*sqrt(1 -
-    coupling) with minimum energy omega_hf; a golden-section fallback covers
-    the (never observed) case where the closed form fails its local check.
+    frequency omega.  The functional is strictly convex in omega for
+    coupling < 1, so its stationary point omega_hf = omega0*sqrt(1 -
+    coupling) is the minimum, with minimum energy omega_hf.
 
     Returns (omega_hf, EnergyBreakdown).  The mean-field total is an upper
     bound on the exact energy, with equality only at coupling = 0.
     """
     _require_repulsive(params, allow_attractive, "hartree_fock")
     omega_hf = params.omega0 * math.sqrt(1.0 - params.coupling)
-    f0 = _hf_objective(omega_hf, params)
-    bump = 1e-6 * omega_hf
-    if f0 > _hf_objective(omega_hf - bump, params) or f0 > _hf_objective(omega_hf + bump, params):
-        omega_hf, _ = golden_section(
-            lambda w: _hf_objective(w, params),
-            1e-3 * params.omega0,
-            10.0 * params.omega0,
-            xtol=1e-12 * params.omega0,
-        )
     kinetic = 0.5 * omega_hf
     external = params.omega0 ** 2 / (2.0 * omega_hf)
     interaction = -params.coupling * params.omega0 ** 2 / (2.0 * omega_hf)

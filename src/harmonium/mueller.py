@@ -34,7 +34,7 @@ from enum import Enum
 
 from .errors import DomainError
 from .model import LAMBDA_MAX, EnergyBreakdown, ModelParams, density, derive_frequencies
-from .spectral import ParametricState, occupation_spectrum, one_matrix
+from .spectral import ParametricState, _check_xi, occupation_spectrum, one_matrix
 
 __all__ = [
     "XI_P_MAX",
@@ -82,11 +82,6 @@ class KernelSpec:
     def equal_powers(cls, q: float) -> "KernelSpec":
         """q = r variant; exponents near [0.525, 0.65] are the interesting window."""
         return cls(q=q, r=q, family=KernelFamily.EQUAL_POWERS)
-
-
-def _check_xi(xi: float, what: str = "xi"):
-    if not (0.0 <= xi < 1.0):
-        raise DomainError(f"{what} must lie in [0, 1), got {xi}")
 
 
 def kernel_normalization(spec: KernelSpec, xi: float) -> float:

@@ -46,7 +46,6 @@ from .spectral import (
     one_matrix,
     parametric_state,
 )
-from .numerics import golden_section
 
 __all__ = [
     "ORACLE_LAMBDA_MAX",
@@ -367,6 +366,35 @@ def kernel_integral_numeric(
     return quad_2d(rule, _kernel_on_grid(params, spec, state, rule, trunc_tol))
 
 
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
+_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+
+
+def _golden_section(f, a, b, xtol, max_iter=200):
+    """Minimize a unimodal scalar function on [a, b] by golden-section search.
+
+    Returns (x, f(x)) once the bracket is narrower than xtol; derivative-free,
+    with linear convergence of ratio 1/phi.
+    """
+    h = b - a
+    c, d = a + _INVPHI2 * h, a + _INVPHI * h
+    fc, fd = f(c), f(d)
+    for _ in range(max_iter):
+        if h <= xtol:
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            h = b - a
+            c = a + _INVPHI2 * h
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            h = b - a
+            d = a + _INVPHI * h
+            fd = f(d)
+    return (c, fc) if fc < fd else (d, fd)
+
+
 def brute_force_minimize(
     params: ModelParams,
     spec: KernelSpec,
@@ -390,7 +418,7 @@ def brute_force_minimize(
     hi = xs[min(i + 1, points - 1)]
     if lo == hi:
         return float(lo), float(energies[i])
-    x_min, e_min = golden_section(objective, float(lo), float(hi), xtol=xtol)
+    x_min, e_min = _golden_section(objective, float(lo), float(hi), xtol=xtol)
     return float(x_min), float(e_min)
 
 

@@ -27,6 +27,10 @@ back to the geometric midpoint whenever a step would leave the bracket,
 until each sign-change bracket is narrower than tol relative.  `solve_xi_p`
 is a batch of one on the same path, and `sweep`, `scaling_exponent` and the
 CLI make one `solve_batch` call per q.
+
+The ratio crossing xi_p = xi needs no solve: as q = 1/2 recovers the exact
+xi, `find_crossing` takes the root of lhs(q, xi) = lhs(1/2, xi) by the same
+Newton steps and maps it to a coupling in closed form.
 """
 
 from __future__ import annotations
@@ -67,6 +71,8 @@ _SCAN.flags.writeable = False
 _WALK_FLOOR = 1e-290
 _MAX_STEPS = 200
 _TOL_FLOOR = 1e-15
+#: Couplings whose exact xi bracket the ratio crossing.
+_CROSSING_COUPLINGS = (1e-3, LAMBDA_MAX)
 
 
 @dataclass(frozen=True)
@@ -105,6 +111,11 @@ def _check_q(q: float):
         raise DomainError(f"exponent q must lie in [{Q_MIN}, {Q_MAX}], got {q}")
 
 
+def _check_tol(tol: float):
+    if tol < _TOL_FLOOR:
+        raise DomainError(f"tol below {_TOL_FLOOR} exceeds double precision, got {tol}")
+
+
 def stationarity_lhs(q: float, xi_p):
     """Left side of the optimality condition; accepts scalar or array xi_p.
 
@@ -132,8 +143,8 @@ def stationarity_rhs(params: ModelParams) -> float:
     return params.coupling * (params.omega0 / (2.0 * f.omega_s)) ** 2
 
 
-def _dlog_lhs(q: float, xi: np.ndarray) -> np.ndarray:
-    """d log lhs / d log xi, the slope of the Newton steps on log xi_p."""
+def _dlog_lhs(q: float, xi):
+    """d log lhs / d log xi for scalar or array xi, the slope of the Newton steps."""
     a = xi ** (2.0 * q - 1.0)
     b = xi ** (2.0 * q)
     den = q * (a - xi) + (1.0 - q) * (1.0 - b)
@@ -209,8 +220,7 @@ def _solve(q: float, couplings, omega0: float, tol: float) -> BatchSolution:
 
     try:
         _check_q(q)
-        if tol < _TOL_FLOOR:
-            raise DomainError(f"tol below {_TOL_FLOOR} exceeds double precision, got {tol}")
+        _check_tol(tol)
     except DomainError as exc:
         errors = [exc] * n
         return done()
@@ -365,48 +375,61 @@ def sweep(
     return records
 
 
-def find_crossing(
-    params_base: ModelParams,
-    q: float,
-    r_tol: float = 1e-9,
-    root_tol: float = 1e-15,
-) -> float:
+def _crossing_gap(q: float, xi: float) -> float:
+    """log lhs(q, xi) - log lhs(1/2, xi), written as -log(cosh t + 2 d b sinh t)
+    with d = q - 1/2, t = d log xi and b = (1+xi)/(1-xi): both terms of
+    cosh t - 1 + 2 d b sinh t are O(d^2), so the gap stays accurate as q -> 1/2,
+    where the direct difference of the logs loses digits like 1/d^2."""
+    d = q - 0.5
+    t = d * math.log(xi)
+    b = (1.0 + xi) / (1.0 - xi)
+    return -math.log1p(2.0 * math.sinh(0.5 * t) ** 2 + 2.0 * d * b * math.sinh(t))
+
+
+def find_crossing(params_base: ModelParams, q: float, root_tol: float = 1e-15) -> float:
     """Coupling at which the ratio xi_p/xi crosses 1 for the given exponent.
 
-    The ratio starts above 1 at weak coupling and ends below 1 near the
-    stability bound for q != 1/2; bisection runs until |ratio - 1| <= r_tol.
+    q = 1/2 recovers the exact xi at every coupling, so the crossing xi solves
+    lhs(q, xi) = lhs(1/2, xi), an equation without the coupling.  The gap of
+    the two sides rises through 0 on the xi images of couplings [1e-3,
+    LAMBDA_MAX]; the safeguarded Newton steps of `solve_batch` find its root,
+    root_tol being the relative width of the final sign-change bracket in xi,
+    and the coupling follows as (1 - u^4)/2 with u = (1 - sqrt(xi))/(1 + sqrt(xi)).
     """
     _check_q(q)
     if q == 0.5:
         raise NoCrossingError("the ratio is identically 1 at q = 0.5; no crossing to find")
+    _check_tol(root_tol)
+    lo, hi = (derive_frequencies(ModelParams(params_base.omega0, lam)).xi
+              for lam in _CROSSING_COUPLINGS)
+    g_lo, g_hi = _crossing_gap(q, lo), _crossing_gap(q, hi)
+    if not g_lo < 0.0 < g_hi:
+        raise NoCrossingError(f"lhs(q, xi) - lhs(1/2, xi) does not rise through 0 between "
+                              f"the couplings {_CROSSING_COUPLINGS} for q={q}")
 
-    def ratio_minus_one(lam: float) -> float:
-        params = ModelParams(omega0=params_base.omega0, coupling=lam)
-        f = derive_frequencies(params)
-        sol = solve_xi_p(params, q, tol=root_tol)
-        return sol.xi_p / f.xi - 1.0
-
-    a, b = 1e-3, LAMBDA_MAX
-    fa = ratio_minus_one(a)
-    fb = ratio_minus_one(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0.0) == (fb > 0.0):
-        raise NoCrossingError(
-            f"ratio - 1 has the same sign at coupling {a} and {b} for q={q}"
-        )
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = ratio_minus_one(mid)
-        if abs(fm) <= r_tol:
-            return mid
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    raise NoCrossingError(f"ratio crossing did not converge to |ratio-1| <= {r_tol} for q={q}")
+    # The steps of _solve on one row: Newton on log xi from a log-linear
+    # interpolation, pushed root_tol/4 toward the root.  A point outside the
+    # bracket, or a step that rounding has spoilt (the slope, within ~1e-8 of
+    # q = 1/2) or that is longer than the bracket (< 20 in log xi), gives way
+    # to the geometric midpoint.
+    x = lo * (hi / lo) ** (g_lo / (g_lo - g_hi))
+    nudge = 0.25 * root_tol
+    for _ in range(_MAX_STEPS):
+        if hi - lo <= root_tol * lo:
+            break
+        if not lo < x < hi:
+            x = math.sqrt(lo * hi)
+        g = _crossing_gap(q, x)
+        if g <= 0.0:
+            lo = x
+        if g >= 0.0:
+            hi = x
+        slope = _dlog_lhs(q, x) - _dlog_lhs(0.5, x)
+        step = -g / slope if slope > 0.0 else math.inf
+        x = hi if step >= 20.0 else x * math.exp(step) * (1.0 + nudge if g < 0.0 else 1.0 - nudge)
+    s = math.sqrt(0.5 * (lo + hi))
+    u = (1.0 - s) / (1.0 + s)
+    return 0.5 * (1.0 - u ** 4)
 
 
 def scaling_exponent(params_base: ModelParams, q: float, root_tol: float = 1e-15) -> float:

@@ -62,6 +62,20 @@ class OccupationSpectrum:
     tail_mass: float
 
 
+def _check_xi(xi, what: str = "xi"):
+    """Return xi as a float, or as an array if it has dimensions, after
+    checking that every value lies in [0, 1); the one xi check that the
+    spectral, mueller and entropy layers share."""
+    if isinstance(xi, (float, int)):
+        if 0.0 <= xi < 1.0:
+            return float(xi)
+    else:
+        arr = np.asarray(xi, dtype=float)
+        if np.all((arr >= 0.0) & (arr < 1.0)):
+            return float(arr) if arr.ndim == 0 else arr
+    raise DomainError(f"{what} must lie in [0, 1), got {xi}")
+
+
 def truncation_order(xi: float, tol: float) -> int:
     """Smallest N with xi^N <= tol, clamped to [16, 512]."""
     if xi == 0.0:
@@ -76,8 +90,7 @@ def occupation_spectrum(xi: float, tol: float = 1e-14) -> OccupationSpectrum:
     Weights decrease strictly (for xi > 0) and sum to 1 - xi^N with the
     tail mass making up the difference.
     """
-    if not (0.0 <= xi < 1.0):
-        raise DomainError(f"xi must lie in [0, 1), got {xi}")
+    _check_xi(xi)
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"truncation tolerance must be positive, got {tol}")
     n = truncation_order(xi, tol)
@@ -159,8 +172,7 @@ def omega_p_from_constraint(omega_s: float, xi_p: float) -> float:
     """Orbital frequency omega_s (1 + xi_p)/(1 - xi_p) fixing the density width."""
     if not omega_s > 0.0:
         raise DomainError(f"omega_s must be positive, got {omega_s}")
-    if not (0.0 <= xi_p < 1.0):
-        raise DomainError(f"xi_p must lie in [0, 1), got {xi_p}")
+    _check_xi(xi_p, "xi_p")
     return omega_s * (1.0 + xi_p) / (1.0 - xi_p)
 
 
@@ -176,8 +188,7 @@ class ParametricState:
     def __post_init__(self):
         if not (self.q > 0.0 and self.r > 0.0):
             raise DomainError(f"kernel powers must be positive, got q={self.q}, r={self.r}")
-        if not (0.0 <= self.xi_p < 1.0):
-            raise DomainError(f"xi_p must lie in [0, 1), got {self.xi_p}")
+        _check_xi(self.xi_p, "xi_p")
         if not self.omega_p > 0.0:
             raise DomainError(f"omega_p must be positive, got {self.omega_p}")
 

@@ -3,18 +3,48 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import reference_values as ref
+from harmonium import cli
 from harmonium.cli import main
 from harmonium.errors import BracketError
 
+FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE_QS = ("--q", "0.3", "--q", "0.45", "--q", "0.5", "--q", "0.6", "--q", "0.7")
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestParser:
+    def test_parser_is_built_once(self, capsys):
+        run_cli(capsys, "solve", "--lambda", "0.1")
+        misses = cli._build_parser.cache_info().misses
+        run_cli(capsys, "solve", "--lambda", "0.2")
+        run_cli(capsys, "sweep", "--lambda", "0.2", "--q", "0.4")
+        assert cli._build_parser.cache_info().misses == misses == 1
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_parses_share_no_state(self):
+        parser = cli._build_parser()
+        assert parser.parse_args(["sweep", "--q", "0.4", "--q", "0.3"]).q == [0.4, 0.3]
+        assert parser.parse_args(["sweep"]).q is None
+
+    def test_main_looks_up_the_subcommand_late(self, monkeypatch):
+        seen = []
+
+        def fake_solve(args):
+            seen.append(args.coupling)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_solve", fake_solve)
+        assert main(["solve", "--lambda", "0.25"]) == 7
+        assert seen == [0.25]
 
 
 class TestSolve:
@@ -122,6 +152,18 @@ class TestSweep:
         assert code == 0
         lams = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
         assert lams == pytest.approx([1e-3, 1e-2, 1e-1], rel=1e-12)
+
+
+    @pytest.mark.parametrize(
+        "fixture, grid",
+        [("sweep_log.csv", "1e-9:0.45:16:log"), ("sweep_linear.csv", "0:0.4999:16")],
+    )
+    def test_output_matches_frozen_bytes(self, capsys, fixture, grid):
+        # fixtures hold the output of `python -m harmonium sweep --lambda-grid GRID`
+        # with FIXTURE_QS; any changed byte is a changed number
+        code, out, _ = run_cli(capsys, "sweep", "--lambda-grid", grid, *FIXTURE_QS)
+        assert code == 0
+        assert out == (FIXTURES / fixture).read_bytes().decode("utf-8")
 
 
 class TestFigure1:

@@ -50,6 +50,25 @@ class TestClosedForms:
             with pytest.raises(DomainError):
                 quasiparticle_weight(bad)
 
+    def test_nan_is_rejected_on_both_paths(self):
+        for fn in (purity, linear_entropy, quasiparticle_weight):
+            with pytest.raises(DomainError, match=r"xi must lie in \[0, 1\)"):
+                fn(math.nan)
+            with pytest.raises(DomainError, match=r"xi must lie in \[0, 1\)"):
+                fn(np.array([0.1, math.nan]))
+
+    def test_scalar_path_matches_array_path_bit_for_bit(self):
+        # libm's pow(w, 2) and w*w round apart on roughly 1 in 1000 uniform draws
+        rng = np.random.default_rng(7)
+        xi = np.concatenate([[0.0], np.geomspace(1e-20, 0.999, 97), rng.random(20000)])
+        for fn in (purity, linear_entropy, quasiparticle_weight):
+            out = fn(xi)
+            assert isinstance(out, np.ndarray)
+            scalars = [fn(float(x)) for x in xi]
+            assert all(type(v) is float for v in scalars)
+            assert np.array_equal(out, scalars)
+            assert fn(np.float64(xi[5])) == scalars[5] and fn(np.asarray(xi[5])) == scalars[5]
+
     @given(xi=st.floats(0.0, 0.999999))
     def test_ranges(self, xi):
         assert 0.0 < purity(xi) <= 1.0

@@ -296,12 +296,35 @@ class TestCrossing:
         assert 0.30 < lam_04 < 0.33
         assert lam_03 < lam_04
 
+    @pytest.mark.parametrize(
+        "q, expect",
+        [
+            (0.3, ref.CROSSING_Q03),
+            (0.4, ref.CROSSING_Q04),
+            (0.45, ref.CROSSING_Q045),
+            (0.499, ref.CROSSING_Q0499),
+        ],
+    )
+    def test_matches_50_digit_crossing(self, q, expect):
+        assert abs(find_crossing(BASE, q) - expect) <= 1e-12
+
+    @pytest.mark.parametrize("q", [0.3, 0.4, 0.45, 0.499])
+    def test_mirror_symmetry(self, q):
+        assert abs(find_crossing(BASE, q) - find_crossing(BASE, 1.0 - q)) <= 1e-12
+
+    @pytest.mark.parametrize("offset", [1e-7, 1e-9, 1e-12, 2.0**-53])
+    def test_resolved_arbitrarily_close_to_half(self, offset):
+        # the crossing moves by O((q - 1/2)^2) from its limit, below 1e-13 here
+        for q in (0.5 - offset, 0.5 + offset):
+            assert abs(find_crossing(BASE, q) - ref.CROSSING_LIMIT) <= 1e-12, q
+
     def test_crossing_is_a_ratio_root(self):
-        lam0 = find_crossing(BASE, 0.4)
-        p = ModelParams(coupling=lam0)
-        f = derive_frequencies(p)
-        sol = solve_xi_p(p, 0.4)
-        assert abs(sol.xi_p / f.xi - 1.0) <= 1e-9
+        for q in (0.3, 0.4, 0.6, 0.7):
+            lam0 = find_crossing(BASE, q)
+            p = ModelParams(coupling=lam0)
+            f = derive_frequencies(p)
+            sol = solve_xi_p(p, q)
+            assert abs(sol.xi_p / f.xi - 1.0) <= 1e-12, q
 
     def test_ratio_changes_sign_around_the_crossing(self):
         lam0 = find_crossing(BASE, 0.3)
@@ -315,9 +338,20 @@ class TestCrossing:
         with pytest.raises(NoCrossingError, match="identically 1"):
             find_crossing(BASE, 0.5)
 
+    def test_no_sign_change_in_the_bracket(self, monkeypatch):
+        # both ends above the q = 0.4 crossing near coupling 0.3147
+        monkeypatch.setattr(solver_module, "_CROSSING_COUPLINGS", (0.35, 0.45))
+        with pytest.raises(NoCrossingError, match="rise through 0"):
+            find_crossing(BASE, 0.4)
+
     def test_q_window(self):
-        with pytest.raises(DomainError):
-            find_crossing(BASE, 0.2)
+        for q in (0.2, 0.29, 0.71, 0.8):
+            with pytest.raises(DomainError):
+                find_crossing(BASE, q)
+
+    def test_tolerance_floor(self):
+        with pytest.raises(DomainError, match="double precision"):
+            find_crossing(BASE, 0.4, root_tol=1e-16)
 
 
 class TestScaling:

@@ -45,6 +45,24 @@ def solve_root(lam, q, guess):
     return mp.findroot(lambda x: stationarity_lhs(q, x) - rhs, mp.mpf(guess))
 
 
+def crossing(q):
+    """Coupling where xi_p(q) = xi: the root of lhs(q, x) = lhs(1/2, x) in x."""
+    def gap(x):
+        return stationarity_lhs(q, x) - stationarity_lhs(mp.mpf("0.5"), x)
+
+    x = mp.findroot(gap, (freqs(mp.mpf("1e-3"))[4], freqs(mp.mpf("0.4999"))[4]), solver="anderson")
+    u = (1 - mp.sqrt(x)) / (1 + mp.sqrt(x))
+    return (1 - u**4) / 2
+
+
+def crossing_limit():
+    """The crossing as q -> 1/2: the gap is -(q - 1/2)^2 log(x) (log(x)/2 + 2 (1+x)/(1-x))
+    to leading order, so its root solves log(x) = -4 (1+x)/(1-x)."""
+    x = mp.findroot(lambda x: mp.log(x) + 4 * (1 + x) / (1 - x), mp.mpf("0.015"))
+    u = (1 - mp.sqrt(x)) / (1 + mp.sqrt(x))
+    return (1 - u**4) / 2
+
+
 def bracket_sum_one(q, xi):
     return 2 - (1 - xi**q) * (1 - xi ** (1 - q)) / (1 + xi)
 
@@ -134,6 +152,13 @@ _, _, omega_s_w2, _, xi_w2 = freqs(lam3, om0)
 emit("XI_03_W2", xi_w2)
 emit("E_TOTAL_03_W2", om0 * (1 + mp.sqrt(mp.mpf("0.4"))) / 2)
 emit("RHS_03_W2", stationarity_rhs(lam3, om0))
+print()
+print("# ratio crossings, omega0 = 1")
+emit("CROSSING_Q03", crossing(mp.mpf("0.3")))
+emit("CROSSING_Q04", crossing(mp.mpf("0.4")))
+emit("CROSSING_Q045", crossing(mp.mpf("0.45")))
+emit("CROSSING_Q0499", crossing(mp.mpf("0.499")))
+emit("CROSSING_LIMIT", crossing_limit())
 print()
 print("# mean field")
 emit("HF_OMEGA_010", mp.sqrt(mp.mpf("0.9")))
