@@ -10,152 +10,24 @@ machinery built on it (`solver`), spectral correlation measures
 closed form (`oracle`).  A command-line front end lives in `cli`.
 """
 
-from .errors import AccuracyWarning, BracketError, DomainError, NoCrossingError
-from .model import (
-    LAMBDA_MAX,
-    LAMBDA_STABILITY,
-    DerivedFrequencies,
-    EnergyBreakdown,
-    ModelParams,
-    density,
-    derive_frequencies,
-    effective_potential,
-    exact_energy,
-    hartree_fock,
-    wavefunction,
-)
-from .spectral import (
-    OccupationSpectrum,
-    ParametricState,
-    density_from_spectrum,
-    hermite_basis,
-    hermite_orbital,
-    occupation_spectrum,
-    omega_p_from_constraint,
-    one_matrix,
-    parametric_state,
-    schmidt_state,
-    truncation_order,
-)
-from .mueller import (
-    XI_P_MAX,
-    KernelFamily,
-    KernelSpec,
-    energy_parametric,
-    interaction_bracket,
-    interaction_bracket_equal_powers,
-    kernel_eval,
-    kernel_normalization,
-    kinetic_parametric,
-)
-from .solver import (
-    Q_MAX,
-    Q_MIN,
-    BatchSolution,
-    StationaritySolution,
-    SweepRecord,
-    find_crossing,
-    scaling_exponent,
-    solve_batch,
-    solve_xi_p,
-    stationarity_lhs,
-    stationarity_rhs,
-    sweep,
-)
-from .entropy import (
-    EntropyComparison,
-    EntropyReport,
-    dual_coupling,
-    entropy_comparison,
-    entropy_report,
-    linear_entropy,
-    purity,
-    quasiparticle_weight,
-)
-from .oracle import (
-    ORACLE_LAMBDA_MAX,
-    QuadratureRule,
-    RuleKind,
-    brute_force_minimize,
-    gauss_hermite_rule,
-    hamiltonian_expectation_numeric,
-    kernel_integral_numeric,
-    kernel_interaction_numeric,
-    one_matrix_numeric,
-    run_verification,
-    spectral_kinetic_sum,
-    trapezoid_rule,
-)
+from . import entropy, errors, model, mueller, oracle, solver, spectral
+from .errors import *
+from .model import *
+from .spectral import *
+from .mueller import *
+from .solver import *
+from .entropy import *
+from .oracle import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyWarning",
-    "BracketError",
-    "DomainError",
-    "NoCrossingError",
-    "LAMBDA_MAX",
-    "LAMBDA_STABILITY",
-    "DerivedFrequencies",
-    "EnergyBreakdown",
-    "ModelParams",
-    "density",
-    "derive_frequencies",
-    "effective_potential",
-    "exact_energy",
-    "hartree_fock",
-    "wavefunction",
-    "OccupationSpectrum",
-    "ParametricState",
-    "density_from_spectrum",
-    "hermite_basis",
-    "hermite_orbital",
-    "occupation_spectrum",
-    "omega_p_from_constraint",
-    "one_matrix",
-    "parametric_state",
-    "schmidt_state",
-    "truncation_order",
-    "XI_P_MAX",
-    "KernelFamily",
-    "KernelSpec",
-    "energy_parametric",
-    "interaction_bracket",
-    "interaction_bracket_equal_powers",
-    "kernel_eval",
-    "kernel_normalization",
-    "kinetic_parametric",
-    "Q_MAX",
-    "Q_MIN",
-    "BatchSolution",
-    "StationaritySolution",
-    "SweepRecord",
-    "find_crossing",
-    "scaling_exponent",
-    "solve_batch",
-    "solve_xi_p",
-    "stationarity_lhs",
-    "stationarity_rhs",
-    "sweep",
-    "EntropyComparison",
-    "EntropyReport",
-    "dual_coupling",
-    "entropy_comparison",
-    "entropy_report",
-    "linear_entropy",
-    "purity",
-    "quasiparticle_weight",
-    "ORACLE_LAMBDA_MAX",
-    "QuadratureRule",
-    "RuleKind",
-    "brute_force_minimize",
-    "gauss_hermite_rule",
-    "hamiltonian_expectation_numeric",
-    "kernel_integral_numeric",
-    "kernel_interaction_numeric",
-    "one_matrix_numeric",
-    "run_verification",
-    "spectral_kinetic_sum",
-    "trapezoid_rule",
+    *errors.__all__,
+    *model.__all__,
+    *spectral.__all__,
+    *mueller.__all__,
+    *solver.__all__,
+    *entropy.__all__,
+    *oracle.__all__,
     "__version__",
 ]

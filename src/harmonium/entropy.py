@@ -12,7 +12,9 @@ each repulsive coupling has an attractive partner with the same spectrum:
     dual_coupling(c) = -c / (1 - 2c),
 
 so every spectral measure is blind to the sign of the interaction once
-couplings are paired this way.
+couplings are paired this way.  The comparison of these measures between
+the variational and the exact spectrum needs a solve and lives in `solver`
+(`entropy_comparison`).
 """
 
 from __future__ import annotations
@@ -20,18 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .model import ModelParams, derive_frequencies
 from .spectral import _check_xi
 
 __all__ = [
     "EntropyReport",
-    "EntropyComparison",
     "purity",
     "linear_entropy",
     "quasiparticle_weight",
     "entropy_report",
     "dual_coupling",
-    "entropy_comparison",
 ]
 
 
@@ -80,33 +79,3 @@ def dual_coupling(coupling: float) -> float:
     if not (0.0 < coupling < 0.5):
         raise DomainError(f"dual_coupling needs coupling in (0, 0.5), got {coupling}")
     return -coupling / (1.0 - 2.0 * coupling)
-
-
-@dataclass(frozen=True)
-class EntropyComparison:
-    """Linear entropies of the variational and exact spectra at one (coupling, q)."""
-
-    coupling: float
-    q: float
-    l_parametric: float
-    l_exact: float
-    ordering: int
-
-
-def entropy_comparison(params: ModelParams, q: float, root_tol: float = 1e-15) -> EntropyComparison:
-    """Compare the variational linear entropy against the exact one.
-
-    ordering is sign(l_parametric - l_exact) with ties (|difference| below
-    1e-12) reported as 0; solver failures propagate.
-    """
-    from .solver import solve_xi_p  # deferred to avoid an import cycle
-
-    f = derive_frequencies(params)
-    sol = solve_xi_p(params, q, tol=root_tol)
-    l_par = linear_entropy(sol.xi_p)
-    l_ex = linear_entropy(f.xi)
-    diff = l_par - l_ex
-    ordering = 0 if abs(diff) <= 1e-12 else (1 if diff > 0.0 else -1)
-    return EntropyComparison(
-        coupling=params.coupling, q=q, l_parametric=l_par, l_exact=l_ex, ordering=ordering
-    )

@@ -1,5 +1,7 @@
 """Exception and warning types shared across the package."""
 
+__all__ = ["AccuracyWarning", "BracketError", "DomainError", "NoCrossingError"]
+
 
 class DomainError(ValueError):
     """A parameter lies outside the validity window of the requested quantity."""

@@ -28,7 +28,6 @@ state exactly, term by term.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -146,8 +145,6 @@ def energy_parametric(params: ModelParams, spec: KernelSpec, xi_p: float) -> Ene
             f"parametric energies are defined for coupling in [0, {LAMBDA_MAX}], "
             f"got {params.coupling}"
         )
-    if not (0.0 <= xi_p <= XI_P_MAX):
-        raise DomainError(f"xi_p must lie in [0, {XI_P_MAX}], got {xi_p}")
     f = derive_frequencies(params)
     kinetic = kinetic_parametric(f.omega_s, xi_p)
     external = params.omega0 ** 2 / (2.0 * f.omega_s)

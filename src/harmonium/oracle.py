@@ -4,7 +4,8 @@ Nothing here reuses the spectral recurrence or the closed-form energies it
 verifies: orbitals are evaluated through scipy's physicists' Hermite
 polynomials with explicit log-normalization, energies come from mapped
 Gauss-Hermite grids, and minima from brute-force scans.  Agreement between
-the two routes is the correctness argument for both.
+the two routes is the correctness argument for both.  The roots the scans
+are held against come from `solver`, which never imports this module.
 
 Mapped Gauss-Hermite rules hold nodes x_i = t_i/sqrt(a) and bare weights
 W_i = w_i exp(t_i^2)/sqrt(a), so that sum_i W_i f(x_i) approximates the
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -39,6 +39,7 @@ from .model import (
     wavefunction,
 )
 from .mueller import KernelSpec, energy_parametric, kernel_normalization, kinetic_parametric
+from .solver import solve_xi_p
 from .spectral import (
     OccupationSpectrum,
     ParametricState,
@@ -49,10 +50,8 @@ from .spectral import (
 
 __all__ = [
     "ORACLE_LAMBDA_MAX",
-    "RuleKind",
     "QuadratureRule",
     "gauss_hermite_rule",
-    "trapezoid_rule",
     "one_matrix_numeric",
     "hamiltonian_expectation_numeric",
     "spectral_kinetic_sum",
@@ -71,20 +70,13 @@ _REFERENCE_N_MAX = 170  # unnormalized Hermite values overflow soon after
 _GAUSS_HERMITE_N_MAX = 370  # hermgauss weights are all 0 at 371 nodes, inf/NaN after
 
 
-class RuleKind(Enum):
-    GAUSS_HERMITE_MAPPED = "gauss_hermite_mapped"
-    UNIFORM_TRAPEZOID = "uniform_trapezoid"
-
-
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes and bare weights approximating a plain integral over the line."""
 
-    kind: RuleKind
     nodes: np.ndarray
     weights: np.ndarray
-    scale: float | None = None
-    half_width: float | None = None
+    scale: float
 
     @property
     def count(self) -> int:
@@ -119,42 +111,11 @@ def gauss_hermite_rule(count: int = 96, scale: float = 1.0) -> QuadratureRule:
     root = math.sqrt(scale)
     nodes = t / root
     weights = np.exp(np.log(w) + t * t) / root
-    return QuadratureRule(RuleKind.GAUSS_HERMITE_MAPPED, nodes, weights, scale=scale)
-
-
-def trapezoid_rule(omega_min: float, count: int = 801, half_width: float | None = None) -> QuadratureRule:
-    """Uniform trapezoid rule on [-L, L], a slow but assumption-free fallback.
-
-    L defaults to 8/sqrt(omega_min), eight Gaussian widths of the softest
-    frequency in play; narrower windows or fewer than 400 nodes are refused.
-    """
-    if not omega_min > 0.0:
-        raise DomainError(f"omega_min must be positive, got {omega_min}")
-    min_width = 8.0 / math.sqrt(omega_min)
-    if half_width is None:
-        half_width = min_width
-    if half_width < min_width - 1e-12:
-        raise DomainError(
-            f"half width {half_width} truncates the softest Gaussian; need >= {min_width}"
-        )
-    if count < 400:
-        raise DomainError(f"trapezoid rule needs at least 400 nodes, got {count}")
-    nodes = np.linspace(-half_width, half_width, count)
-    h = nodes[1] - nodes[0]
-    weights = np.full(count, h)
-    weights[0] = weights[-1] = 0.5 * h
-    return QuadratureRule(
-        RuleKind.UNIFORM_TRAPEZOID, nodes, weights, half_width=half_width
-    )
+    return QuadratureRule(nodes, weights, scale)
 
 
 def _doubled(rule: QuadratureRule) -> QuadratureRule:
-    if rule.kind is RuleKind.GAUSS_HERMITE_MAPPED:
-        return gauss_hermite_rule(2 * rule.count, rule.scale)
-    # (8/L)^2 reconstructs an omega_min whose minimum width is exactly L.
-    return trapezoid_rule(
-        (8.0 / rule.half_width) ** 2, 2 * rule.count - 1, half_width=rule.half_width
-    )
+    return gauss_hermite_rule(2 * rule.count, rule.scale)
 
 
 def _fsum(values: np.ndarray) -> float:
@@ -455,8 +416,6 @@ def run_verification(
     tamper=True skews the closed-form references by 2e-4 and is only there
     to prove the harness can fail (negative control).
     """
-    from .solver import solve_xi_p  # local import keeps module layering acyclic
-
     skew = 1.0 + 2e-4 if tamper else 1.0
     checks: list[dict] = []
     for lam in lambdas:

@@ -30,7 +30,8 @@ CLI make one `solve_batch` call per q.
 
 The ratio crossing xi_p = xi needs no solve: as q = 1/2 recovers the exact
 xi, `find_crossing` takes the root of lhs(q, xi) = lhs(1/2, xi) by the same
-Newton steps and maps it to a coupling in closed form.
+Newton steps and maps it to a coupling in closed form.  `entropy_comparison`
+sets the linear entropy of one solved spectrum against the exact one.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ __all__ = [
     "solve_batch",
     "solve_xi_p",
     "sweep",
+    "EntropyComparison",
+    "entropy_comparison",
     "find_crossing",
     "scaling_exponent",
 ]
@@ -373,6 +376,34 @@ def sweep(
         batch = solve_batch(q, lams, params_base.omega0, root_tol)
         records.extend(_sweep_record(params_base.omega0, batch, i) for i in range(len(lams)))
     return records
+
+
+@dataclass(frozen=True)
+class EntropyComparison:
+    """Linear entropies of the variational and exact spectra at one (coupling, q)."""
+
+    coupling: float
+    q: float
+    l_parametric: float
+    l_exact: float
+    ordering: int
+
+
+def entropy_comparison(params: ModelParams, q: float, root_tol: float = 1e-15) -> EntropyComparison:
+    """Compare the variational linear entropy against the exact one.
+
+    ordering is sign(l_parametric - l_exact) with ties (|difference| below
+    1e-12) reported as 0; solver failures propagate.
+    """
+    f = derive_frequencies(params)
+    sol = solve_xi_p(params, q, tol=root_tol)
+    l_par = linear_entropy(sol.xi_p)
+    l_ex = linear_entropy(f.xi)
+    diff = l_par - l_ex
+    ordering = 0 if abs(diff) <= 1e-12 else (1 if diff > 0.0 else -1)
+    return EntropyComparison(
+        coupling=params.coupling, q=q, l_parametric=l_par, l_exact=l_ex, ordering=ordering
+    )
 
 
 def _crossing_gap(q: float, xi: float) -> float:

@@ -103,6 +103,17 @@ def occupation_spectrum(xi: float, tol: float = 1e-14) -> OccupationSpectrum:
 def hermite_orbital(n: int, omega: float, x):
     """Orthonormal oscillator eigenfunction phi_n(x) at frequency omega.
 
+    Row n of `hermite_basis`; a float when x is a scalar.
+    """
+    if n < 0 or n != int(n):
+        raise DomainError(f"orbital index must be a nonnegative integer, got {n}")
+    out = hermite_basis(int(n) + 1, omega, x)[int(n)]
+    return float(out) if out.ndim == 0 else out
+
+
+def hermite_basis(n_max: int, omega: float, x) -> np.ndarray:
+    """Stack phi_0 .. phi_{n_max-1} at frequency omega; shape (n_max,) + x.shape.
+
     Evaluated through the normalized three-term recurrence
 
         phi_0 = (omega/pi)^(1/4) exp(-omega x^2 / 2)
@@ -110,22 +121,6 @@ def hermite_orbital(n: int, omega: float, x):
 
     which is stable in n and never forms factorials.
     """
-    if n < 0 or n != int(n):
-        raise DomainError(f"orbital index must be a nonnegative integer, got {n}")
-    if not omega > 0.0:
-        raise DomainError(f"orbital frequency must be positive, got {omega}")
-    x = np.asarray(x, dtype=float)
-    u = math.sqrt(omega) * x
-    h_prev = np.zeros_like(u)
-    h = math.pi ** -0.25 * np.exp(-0.5 * u ** 2)
-    for k in range(1, int(n) + 1):
-        h, h_prev = math.sqrt(2.0 / k) * u * h - math.sqrt((k - 1.0) / k) * h_prev, h
-    out = omega ** 0.25 * h
-    return float(out) if out.ndim == 0 else out
-
-
-def hermite_basis(n_max: int, omega: float, x) -> np.ndarray:
-    """Stack phi_0 .. phi_{n_max-1} at frequency omega; shape (n_max,) + x.shape."""
     if n_max < 1:
         raise DomainError(f"need at least one orbital, got n_max={n_max}")
     if not omega > 0.0:

@@ -187,6 +187,20 @@ class TestFigure1:
         assert code == 0
         assert len(out.splitlines()) == 4
 
+    def test_default_grid_matches_frozen_bytes(self, capsys):
+        # the fixture holds the output of `python -m harmonium figure1`
+        code, out, _ = run_cli(capsys, "figure1")
+        assert code == 0
+        assert out == (FIXTURES / "figure1_default.csv").read_bytes().decode("utf-8")
+
+    def test_past_the_edge_matches_frozen_bytes(self, capsys):
+        # the last coupling, 0.49995, has an exact xi but no variational root
+        code, out, _ = run_cli(capsys, "figure1", "--lambda-grid", "0.4998:0.49995:4")
+        assert code == 1
+        assert out == (FIXTURES / "figure1_edge.csv").read_bytes().decode("utf-8")
+        last = out.splitlines()[-1].split(",")
+        assert last[1] != "nan" and last[2:] == ["nan"] * 4
+
 
 class TestConfig:
     def test_flags_beat_config(self, capsys, tmp_path):
@@ -255,6 +269,12 @@ class TestReport:
         assert hf[0.1]["e_hf"] >= hf[0.1]["e_exact"]
         note = payload["mean_field_note"]
         assert "omega0*sqrt(1 - lambda)" in note and "2*omega0*sqrt(1 - lambda)" in note
+
+    def test_default_flags_match_frozen_bytes(self, capsys):
+        # the fixture holds the output of `python -m harmonium report`
+        code, out, _ = run_cli(capsys, "report")
+        assert code == 0
+        assert out == (FIXTURES / "report_default.json").read_bytes().decode("utf-8")
 
 
 class TestOutput:

@@ -25,7 +25,6 @@ from harmonium import (
     schmidt_state,
     solve_xi_p,
     spectral_kinetic_sum,
-    trapezoid_rule,
 )
 from harmonium.oracle import quad_1d, quad_2d, reference_basis
 from harmonium.spectral import hermite_basis
@@ -67,30 +66,11 @@ class TestRules:
         with pytest.raises(DomainError):
             gauss_hermite_rule(64, scale=0.0)
 
-    def test_trapezoid_shape(self):
-        rule = trapezoid_rule(1.0, count=401)
-        assert rule.count == 401
-        assert rule.nodes[0] == -8.0 and rule.nodes[-1] == 8.0
-        h = rule.nodes[1] - rule.nodes[0]
-        assert rule.weights[0] == pytest.approx(0.5 * h)
-        assert rule.weights[200] == pytest.approx(h)
-
-    def test_trapezoid_validation(self):
-        with pytest.raises(DomainError):
-            trapezoid_rule(0.0)
-        with pytest.raises(DomainError):
-            trapezoid_rule(1.0, count=100)
-        with pytest.raises(DomainError):
-            trapezoid_rule(1.0, half_width=3.0)
-
     def test_rules_agree_on_density_norm(self):
         f = derive_frequencies(P03)
         gh = gauss_hermite_rule(96, f.omega_s)
-        tz = trapezoid_rule(f.omega2, count=1601)
         a = quad_1d(gh, density(P03, gh.nodes))
-        b = quad_1d(tz, density(P03, tz.nodes))
         assert a == pytest.approx(1.0, abs=1e-10)
-        assert b == pytest.approx(1.0, abs=1e-10)
 
     def test_quad_2d_separable(self):
         rule = gauss_hermite_rule(48)
