@@ -121,14 +121,9 @@ def _merge_config(args: argparse.Namespace):
     unknown = set(cfg) - set(mapping) - {"q"}
     if unknown:
         raise DomainError(f"unknown config keys: {sorted(unknown)}")
-    if args.omega0 is None:
-        args.omega0 = _DEFAULTS["omega0"]
-    if args.tol_root is None:
-        args.tol_root = _DEFAULTS["tol_root"]
-    if args.tol_trunc is None:
-        args.tol_trunc = _DEFAULTS["tol_trunc"]
-    if args.format is None:
-        args.format = _DEFAULTS["format"]
+    for attr, value in _DEFAULTS.items():
+        if getattr(args, attr) is None:
+            setattr(args, attr, value)
 
 
 def _fmt(value) -> str:
@@ -321,23 +316,14 @@ def cmd_report(args) -> int:
         curves.append(entry)
 
     lam_grid = [float(v) for v in np.linspace(0.02, 0.44, 22)]
-    recovery = slv.solve_batch(0.5, lam_grid, args.omega0, args.tol_root)
-    max_xi_gap = 0.0
-    max_energy_gap = 0.0
-    max_duality_gap = 0.0
-    for i, lam in enumerate(lam_grid):
-        point = ModelParams(omega0=args.omega0, coupling=lam)
-        f = derive_frequencies(point)
-        sol = recovery.solution(i)
-        e_p = energy_parametric(point, KernelSpec.sum_one(0.5), sol.xi_p)
-        e_ex = exact_energy(point)
-        max_xi_gap = max(max_xi_gap, abs(sol.xi_p - f.xi))
-        max_energy_gap = max(max_energy_gap, abs(e_p.total - e_ex.total) / e_ex.total)
-        twin = ModelParams(omega0=args.omega0, coupling=ent.dual_coupling(lam))
-        max_duality_gap = max(
-            max_duality_gap,
-            abs(ent.linear_entropy(f.xi) - ent.linear_entropy(derive_frequencies(twin).xi)),
-        )
+    recovery = slv.sweep(params, [0.5], lam_grid, root_tol=args.tol_root)
+    for rec in recovery:
+        if rec.error is not None:
+            raise BracketError(rec.error)
+    max_xi_gap = max([0.0] + [abs(r.xi_p - r.xi) for r in recovery])
+    max_energy_gap = max([0.0] + [abs(r.e_p_total - r.e_ex_total) / r.e_ex_total for r in recovery])
+    max_duality_gap = max([0.0] + [abs(r.linear_entropy_exact - r.dual_linear_entropy)
+                                   for r in recovery])
 
     mean_field = []
     for lam in (0.1, 0.36):

@@ -26,7 +26,8 @@ steps on log xi_p, using the analytic d log lhs / d log xi_p and falling
 back to the geometric midpoint whenever a step would leave the bracket,
 until each sign-change bracket is narrower than tol relative.  `solve_xi_p`
 is a batch of one on the same path, and `sweep`, `scaling_exponent` and the
-CLI make one `solve_batch` call per q.
+CLI make one `solve_batch` call per q.  `sweep` alone turns solved rows into
+records, with the q-independent columns computed once per coupling.
 
 The ratio crossing xi_p = xi needs no solve: as q = 1/2 recovers the exact
 xi, `find_crossing` takes the root of lhs(q, xi) = lhs(1/2, xi) by the same
@@ -92,7 +93,7 @@ class StationaritySolution:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One (q, coupling) point of a sweep; numeric fields are NaN on error."""
+    """One (q, coupling) point of a sweep; a failed row holds NaN and the error text."""
 
     q: float
     coupling: float
@@ -115,6 +116,8 @@ def _check_q(q: float):
 
 
 def _check_tol(tol: float):
+    if not math.isfinite(tol):
+        raise DomainError(f"tol must be finite, got {tol}")
     if tol < _TOL_FLOOR:
         raise DomainError(f"tol below {_TOL_FLOOR} exceeds double precision, got {tol}")
 
@@ -221,17 +224,19 @@ def _solve(q: float, couplings, omega0: float, tol: float) -> BatchSolution:
     def done() -> BatchSolution:
         return BatchSolution(q, lams, rhs, xi_p, iterations, residual, tuple(errors))
 
+    # Errors are stored without their tracebacks: a traceback would hold this
+    # frame and with it `errors`, a cycle that only the cyclic GC frees.
     try:
         _check_q(q)
         _check_tol(tol)
     except DomainError as exc:
-        errors = [exc] * n
+        errors = [exc.with_traceback(None)] * n
         return done()
     for i, lam in enumerate(lams):
         try:
             rhs[i] = stationarity_rhs(ModelParams(omega0, lam))
         except DomainError as exc:
-            errors[i] = exc
+            errors[i] = exc.with_traceback(None)
         else:
             if lam == 0.0:
                 xi_p[i] = residual[i] = 0.0
@@ -318,45 +323,6 @@ def _solve(q: float, couplings, omega0: float, tol: float) -> BatchSolution:
     return done()
 
 
-def _sweep_record(omega0: float, batch: BatchSolution, i: int) -> SweepRecord:
-    nan = float("nan")
-    q, lam = batch.q, batch.couplings[i]
-    try:
-        params = ModelParams(omega0=omega0, coupling=lam)
-        f = derive_frequencies(params)
-        sol = batch.solution(i)
-        e_p = energy_parametric(params, KernelSpec.sum_one(q), sol.xi_p)
-        e_ex = exact_energy(params)
-        ratio = sol.xi_p / f.xi if f.xi > 0.0 else nan
-        if 0.0 < lam < 0.5:
-            lam_dual = dual_coupling(lam)
-            l_dual = linear_entropy(derive_frequencies(ModelParams(omega0, lam_dual)).xi)
-        else:
-            lam_dual = nan
-            l_dual = nan
-        return SweepRecord(
-            q=q,
-            coupling=lam,
-            xi=f.xi,
-            xi_p=sol.xi_p,
-            ratio=ratio,
-            e_p_total=e_p.total,
-            e_ex_total=e_ex.total,
-            purity=purity(sol.xi_p),
-            linear_entropy=linear_entropy(sol.xi_p),
-            linear_entropy_exact=linear_entropy(f.xi),
-            dual_coupling=lam_dual,
-            dual_linear_entropy=l_dual,
-        )
-    except (DomainError, BracketError) as exc:
-        return SweepRecord(
-            q=q, coupling=lam, xi=nan, xi_p=nan, ratio=nan, e_p_total=nan,
-            e_ex_total=nan, purity=nan, linear_entropy=nan,
-            linear_entropy_exact=nan, dual_coupling=nan, dual_linear_entropy=nan,
-            error=str(exc),
-        )
-
-
 def sweep(
     params_base: ModelParams,
     q_list,
@@ -366,15 +332,41 @@ def sweep(
     """Solve every (q, coupling) pair and collect records, q-major then
     coupling-minor, both ascending.
 
-    Each q is one `solve_batch` call over the whole grid.  Per-point
-    failures land in the record's error field instead of raising.
+    The columns that do not depend on q (xi, the exact energy and entropy,
+    the dual coupling and its entropy) are computed once per coupling in
+    [0, LAMBDA_MAX]; every other coupling fails its solve at every q.  Each
+    q is one `solve_batch` call over the whole grid, and a row that fails
+    holds the solver's error text in its error field instead of raising.
     """
+    nan = math.nan
+    omega0 = params_base.omega0
     qs = sorted(set(float(q) for q in q_list))
     lams = sorted(set(float(lam) for lam in lambda_grid))
+    exact = {}
+    for lam in lams:
+        if 0.0 <= lam <= LAMBDA_MAX:
+            params = ModelParams(omega0, lam)
+            xi = derive_frequencies(params).xi
+            lam_dual = l_dual = nan
+            if lam > 0.0:
+                lam_dual = dual_coupling(lam)
+                l_dual = linear_entropy(derive_frequencies(ModelParams(omega0, lam_dual)).xi)
+            exact[lam] = (params, xi, exact_energy(params).total, linear_entropy(xi),
+                          lam_dual, l_dual)
     records = []
     for q in qs:
-        batch = solve_batch(q, lams, params_base.omega0, root_tol)
-        records.extend(_sweep_record(params_base.omega0, batch, i) for i in range(len(lams)))
+        batch = solve_batch(q, lams, omega0, root_tol)
+        spec = KernelSpec.sum_one(q)
+        for lam, xi_p, error in zip(lams, batch.xi_p.tolist(), batch.errors):
+            if error is not None:
+                records.append(SweepRecord(q, lam, *[nan] * 10, error=str(error)))
+                continue
+            params, xi, e_ex, l_ex, lam_dual, l_dual = exact[lam]
+            records.append(SweepRecord(
+                q, lam, xi, xi_p, xi_p / xi if xi > 0.0 else nan,
+                energy_parametric(params, spec, xi_p).total, e_ex, purity(xi_p),
+                linear_entropy(xi_p), l_ex, lam_dual, l_dual,
+            ))
     return records
 
 

@@ -9,8 +9,6 @@ the single place that must stay green for a release.
 import json
 import math
 import os
-import subprocess
-import sys
 import tempfile
 import time
 

@@ -1,10 +1,10 @@
 import json
-import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reference_values as ref
@@ -14,6 +14,13 @@ from harmonium.errors import BracketError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE_QS = ("--q", "0.3", "--q", "0.45", "--q", "0.5", "--q", "0.6", "--q", "0.7")
+SWEEP_FIXTURES = [
+    ("sweep_log.csv", "1e-9:0.45:16:log", FIXTURE_QS, 0),
+    ("sweep_linear.csv", "0:0.4999:16", FIXTURE_QS, 0),
+    # error rows: negative couplings, and couplings past LAMBDA_MAX and the stability bound
+    ("sweep_out_of_window.csv", "-0.2:0.6:17", ("--q", "0.5", "--q", "0.4"), 1),
+    ("sweep_past_edge.csv", "0.4998:0.50005:6", ("--q", "0.5", "--q", "0.4"), 1),
+]
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -94,6 +101,10 @@ class TestSolve:
     def test_tolerance_floor(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--lambda", "0.3", "--tol-root", "1e-16")
         assert code == 2
+        for tol in ("nan", "inf"):
+            code, out, err = run_cli(capsys, "solve", "--lambda", "0.3", "--q", "0.4",
+                                     f"--tol-root={tol}")
+            assert code == 2 and out == "" and "finite" in err
 
     def test_solver_failure_maps_to_exit_3(self, capsys, monkeypatch):
         def boom(*a, **k):
@@ -155,14 +166,13 @@ class TestSweep:
 
 
     @pytest.mark.parametrize(
-        "fixture, grid",
-        [("sweep_log.csv", "1e-9:0.45:16:log"), ("sweep_linear.csv", "0:0.4999:16")],
+        "fixture, grid, qs, exit_code", SWEEP_FIXTURES, ids=[f"{f}-{g}" for f, g, *_ in SWEEP_FIXTURES]
     )
-    def test_output_matches_frozen_bytes(self, capsys, fixture, grid):
-        # fixtures hold the output of `python -m harmonium sweep --lambda-grid GRID`
-        # with FIXTURE_QS; any changed byte is a changed number
-        code, out, _ = run_cli(capsys, "sweep", "--lambda-grid", grid, *FIXTURE_QS)
-        assert code == 0
+    def test_output_matches_frozen_bytes(self, capsys, fixture, grid, qs, exit_code):
+        # fixtures hold the output of `python -m harmonium sweep --lambda-grid=GRID`
+        # with the given --q flags; any changed byte is a changed number
+        code, out, _ = run_cli(capsys, "sweep", f"--lambda-grid={grid}", *qs)
+        assert code == exit_code
         assert out == (FIXTURES / fixture).read_bytes().decode("utf-8")
 
 
@@ -275,6 +285,21 @@ class TestReport:
         code, out, _ = run_cli(capsys, "report")
         assert code == 0
         assert out == (FIXTURES / "report_default.json").read_bytes().decode("utf-8")
+
+    def test_omega0_and_q_match_frozen_bytes(self, capsys):
+        # the fixture holds the output of `python -m harmonium report --omega0 3 --q 0.45`
+        code, out, _ = run_cli(capsys, "report", "--omega0", "3", "--q", "0.45")
+        assert code == 0
+        assert out == (FIXTURES / "report_omega3_q045.json").read_bytes().decode("utf-8")
+
+    def test_failed_recovery_row_fails_the_report(self, capsys, monkeypatch):
+        # a scan that stops at xi_p = 0.05 leaves the q = 1/2 recovery rows from
+        # coupling 0.42 on without a sign change; none of them may be dropped
+        monkeypatch.setattr("harmonium.solver._SCAN", np.geomspace(1e-12, 0.05, 2048))
+        code, out, err = run_cli(capsys, "report", "--q", "0.4")
+        assert code == 3 and out == ""
+        assert err.startswith("solver failure: no sign change")
+        assert err.rstrip().endswith("(coupling=0.42000000000000004, q=0.5)")
 
 
 class TestOutput:

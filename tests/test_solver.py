@@ -264,7 +264,7 @@ class TestBatch:
         assert isinstance(batch.errors[3], DomainError)
 
     def test_exponent_and_tol_fail_every_row(self):
-        for q, tol in ((0.25, 1e-15), (0.4, 1e-16)):
+        for q, tol in ((0.25, 1e-15), (0.4, 1e-16), (0.4, math.nan), (0.4, math.inf)):
             batch = solve_batch(q, [0.0, 0.3], tol=tol)
             for i in range(2):
                 with pytest.raises(DomainError):
@@ -352,6 +352,9 @@ class TestCrossing:
     def test_tolerance_floor(self):
         with pytest.raises(DomainError, match="double precision"):
             find_crossing(BASE, 0.4, root_tol=1e-16)
+        for tol in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                find_crossing(BASE, 0.4, root_tol=tol)
 
 
 class TestScaling:
