@@ -126,22 +126,12 @@ def _merge_config(args: argparse.Namespace):
             setattr(args, attr, value)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.17g}"
-    return str(value)
-
-
 def _csv_text(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+        writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
     return buf.getvalue()
 
 

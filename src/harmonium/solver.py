@@ -19,15 +19,16 @@ The solver works in log space, because for small coupling the root scales
 like a power of the coupling (xi_p ~ coupling^(1/max(q, 1-q)) for q != 1/2,
 ~ coupling^2/16 at q = 1/2) and absolute-width steps would lose all
 relative accuracy.  `solve_batch` takes one q and a batch of couplings: lhs
-is evaluated once on a logarithmic scan grid, checked to be strictly
-increasing there, and each row is bracketed by a binary search in the scan
-(or by a decade walk below it).  All rows then advance together by Newton
-steps on log xi_p, using the analytic d log lhs / d log xi_p and falling
-back to the geometric midpoint whenever a step would leave the bracket,
-until each sign-change bracket is narrower than tol relative.  `solve_xi_p`
-is a batch of one on the same path, and `sweep`, `scaling_exponent` and the
-CLI make one `solve_batch` call per q.  `sweep` alone turns solved rows into
-records, with the q-independent columns computed once per coupling.
+is evaluated once on a logarithmic scan grid, from 1e-12 to 1 - 1e-9 with
+decades below it down to 1e-290, checked to be strictly increasing there,
+and each row is bracketed by one binary search in the scan.  All rows then
+advance together by Newton steps on log xi_p, using the analytic
+d log lhs / d log xi_p and falling back to the geometric midpoint whenever
+a step would leave the bracket, until each sign-change bracket is narrower
+than tol relative.  `solve_xi_p` is a batch of one on the same path, and
+`sweep`, `scaling_exponent` and the CLI make one `solve_batch` call per q.
+`sweep` alone turns solved rows into records, with the q-independent
+columns computed once per coupling.
 
 The ratio crossing xi_p = xi needs no solve: as q = 1/2 recovers the exact
 xi, `find_crossing` takes the root of lhs(q, xi) = lhs(1/2, xi) by the same
@@ -37,6 +38,7 @@ sets the linear entropy of one solved spectrum against the exact one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,7 +73,7 @@ Q_MAX = 0.7
 #: Logarithmic grid on which every batch brackets its roots.
 _SCAN = np.geomspace(1e-12, 1.0 - 1e-9, 2048)
 _SCAN.flags.writeable = False
-#: Lowest xi_p the decade walk below the scan window tries.
+#: The decades below the scan window reach down to the first one at or below this xi_p.
 _WALK_FLOOR = 1e-290
 _MAX_STEPS = 200
 _TOL_FLOOR = 1e-15
@@ -149,6 +151,15 @@ def stationarity_rhs(params: ModelParams) -> float:
     return params.coupling * (params.omega0 / (2.0 * f.omega_s)) ** 2
 
 
+@functools.cache
+def _decades(top: float, floor: float) -> np.ndarray:
+    """top/10, top/100, ... down to the first point at or below floor, ascending."""
+    points = [top]
+    while points[-1] > floor:
+        points.append(points[-1] / 10.0)
+    return np.array(points[:0:-1])
+
+
 def _dlog_lhs(q: float, xi):
     """d log lhs / d log xi for scalar or array xi, the slope of the Newton steps."""
     a = xi ** (2.0 * q - 1.0)
@@ -162,8 +173,9 @@ def _dlog_lhs(q: float, xi):
 class BatchSolution:
     """Roots of the stationarity condition at one q, one row per coupling.
 
-    A failed row keeps its DomainError or BracketError in `errors` and NaN
-    in `xi_p` and `residual`; `solution(i)` re-raises it.
+    A failed row (a coupling outside [0, LAMBDA_MAX], or no sign change in
+    the scan) keeps its DomainError or BracketError in `errors` and NaN in
+    `xi_p` and `residual`; `solution(i)` re-raises it.
     """
 
     q: float
@@ -178,7 +190,7 @@ class BatchSolution:
         """Row i as a StationaritySolution; raises the row's error if it failed."""
         error = self.errors[i]
         if error is not None:
-            # rows can share one exception object; each raise starts a fresh traceback
+            # a row's error can be raised more than once; each raise starts a fresh traceback
             raise error.with_traceback(None)
         return StationaritySolution(
             self.couplings[i], self.q, float(self.xi_p[i]), float(self.rhs[i]),
@@ -193,9 +205,10 @@ def solve_batch(q: float, couplings, omega0: float = 1.0, tol: float = 1e-15) ->
     stops; the residual of every root stays below ~1e-13 * max(1, rhs)
     across the validated window.  coupling = 0 gives xi_p = 0.  Rows fail
     one by one: a coupling outside [0, LAMBDA_MAX] or a missing sign change
-    sets only that row's error, while an exponent outside [Q_MIN, Q_MAX], a
-    tol below 1e-15 or a scan that is not strictly increasing fails every
-    row.
+    sets only that row's error.  What would fail every row raises instead:
+    DomainError for an exponent outside [Q_MIN, Q_MAX] or a tol that is not
+    finite or below 1e-15, BracketError for a scan on which lhs is not
+    strictly increasing.
     """
     return _solve(q, couplings, omega0, tol)
 
@@ -213,6 +226,8 @@ def _solve(q: float, couplings, omega0: float, tol: float) -> BatchSolution:
     # The body of solve_batch.  solve_xi_p calls it directly, so that the lhs
     # evaluations of a single solve are direct children of solve_xi_p in a
     # trace that wraps the public functions (benchmark/tracing.py).
+    _check_q(q)
+    _check_tol(tol)
     lams = tuple(float(lam) for lam in couplings)
     n = len(lams)
     rhs = np.full(n, math.nan)
@@ -221,17 +236,8 @@ def _solve(q: float, couplings, omega0: float, tol: float) -> BatchSolution:
     iterations = np.zeros(n, dtype=int)
     errors: list[Exception | None] = [None] * n
 
-    def done() -> BatchSolution:
-        return BatchSolution(q, lams, rhs, xi_p, iterations, residual, tuple(errors))
-
     # Errors are stored without their tracebacks: a traceback would hold this
     # frame and with it `errors`, a cycle that only the cyclic GC frees.
-    try:
-        _check_q(q)
-        _check_tol(tol)
-    except DomainError as exc:
-        errors = [exc.with_traceback(None)] * n
-        return done()
     for i, lam in enumerate(lams):
         try:
             rhs[i] = stationarity_rhs(ModelParams(omega0, lam))
@@ -241,55 +247,36 @@ def _solve(q: float, couplings, omega0: float, tol: float) -> BatchSolution:
             if lam == 0.0:
                 xi_p[i] = residual[i] = 0.0
     rows = np.array([i for i in range(n) if errors[i] is None and lams[i] != 0.0], dtype=int)
-    if not rows.size:
-        return done()
 
-    grid = _SCAN
+    grid = np.concatenate((_decades(float(_SCAN[0]), _WALK_FLOOR), _SCAN))
     scan = stationarity_lhs(q, grid)
     if not np.all(np.diff(scan) > 0.0):
-        exc = BracketError(
+        raise BracketError(
             f"the stationarity condition is not increasing on the scan window at q={q}, "
             "so its sign change need not be unique"
         )
-        for i in rows:
-            errors[i] = exc
-        return done()
 
-    # Bracket [lo, hi] with lhs(lo) = llo <= rhs < lhs(hi) = lhi: a binary
-    # search in the scan, or a decade walk for roots below the scan window.
-    k = np.searchsorted(scan, rhs[rows])
-    for i in rows[k == grid.size]:
-        errors[i] = BracketError(
-            f"no sign change of the stationarity condition in "
-            f"[{grid[0]}, {grid[-1]}] at (coupling={lams[i]}, q={q})"
-        )
-    keep = k < grid.size
-    rows, k = rows[keep], k[keep]
-    hit = scan[k] == rhs[rows]
+    # Bracket [lo, hi] with lhs(lo) = llo < rhs < lhs(hi) = lhi by one binary
+    # search in the scan; a grid point where lhs equals rhs is the root.
+    r = rhs[rows]
+    k = np.searchsorted(scan, r)
+    hit = scan[np.minimum(k, grid.size - 1)] == r
     xi_p[rows[hit]] = grid[k[hit]]
     residual[rows[hit]] = 0.0
-    rows, k = rows[~hit], k[~hit]
-    r = rhs[rows]
-    hi, lhi = grid[k], scan[k]
-    lo, llo = grid[np.maximum(k - 1, 0)], scan[np.maximum(k - 1, 0)]
-    walk = np.nonzero(k == 0)[0]
-    if walk.size:
-        lo[walk] = hi[walk] / 10.0
-        llo[walk] = stationarity_lhs(q, lo[walk])
-        down = walk[(llo[walk] > r[walk]) & (lo[walk] > _WALK_FLOOR)]
-        while down.size:
-            hi[down], lhi[down] = lo[down], llo[down]
-            lo[down] /= 10.0
-            llo[down] = stationarity_lhs(q, lo[down])
-            down = down[(llo[down] > r[down]) & (lo[down] > _WALK_FLOOR)]
-        for j in walk[llo[walk] > r[walk]]:
-            errors[rows[j]] = BracketError(
+    for i, kk in zip(rows[~hit], k[~hit]):
+        if kk == 0:
+            errors[i] = BracketError(
                 f"no sign change of the stationarity condition down to xi_p = {_WALK_FLOOR} "
-                f"at (coupling={lams[rows[j]]}, q={q})"
+                f"at (coupling={lams[i]}, q={q})"
             )
-    keep = llo <= r
-    rows, r, lo, hi, llo, lhi = rows[keep], r[keep], lo[keep], hi[keep], llo[keep], lhi[keep]
-    hi[llo == r] = lo[llo == r]  # the walk hit the root exactly: a bracket of width 0
+        elif kk == grid.size:
+            errors[i] = BracketError(
+                f"no sign change of the stationarity condition in "
+                f"[{_SCAN[0]}, {_SCAN[-1]}] at (coupling={lams[i]}, q={q})"
+            )
+    keep = ~hit & (k > 0) & (k < grid.size)
+    rows, r, k = rows[keep], r[keep], k[keep]
+    lo, llo, hi, lhi = grid[k - 1], scan[k - 1], grid[k], scan[k]
 
     # Newton steps on log xi from a log-log interpolation inside the bracket;
     # a point that leaves the bracket falls back to the geometric midpoint.
@@ -305,7 +292,11 @@ def _solve(q: float, couplings, omega0: float, tol: float) -> BatchSolution:
             break
         xa, ra, lo_a, hi_a = x[active], r[active], lo[active], hi[active]
         outside = ~((lo_a < xa) & (xa < hi_a))
-        xa[outside] = np.sqrt(lo_a[outside] * hi_a[outside])
+        # lo * hi leaves the normal doubles for brackets below ~1.5e-154; elsewhere
+        # sqrt(lo) * sqrt(hi) would move roots by an ulp
+        lo_o, hi_o = lo_a[outside], hi_a[outside]
+        xa[outside] = np.where(lo_o * hi_o >= np.finfo(float).tiny, np.sqrt(lo_o * hi_o),
+                               np.sqrt(lo_o) * np.sqrt(hi_o))
         fa = stationarity_lhs(q, xa)
         steps[active] += 1
         up = fa < ra
@@ -320,7 +311,7 @@ def _solve(q: float, couplings, omega0: float, tol: float) -> BatchSolution:
     xi_p[rows] = root
     iterations[rows] = steps
     residual[rows] = np.abs(stationarity_lhs(q, root) - r)
-    return done()
+    return BatchSolution(q, lams, rhs, xi_p, iterations, residual, tuple(errors))
 
 
 def sweep(
@@ -398,15 +389,23 @@ def entropy_comparison(params: ModelParams, q: float, root_tol: float = 1e-15) -
     )
 
 
-def _crossing_gap(q: float, xi: float) -> float:
-    """log lhs(q, xi) - log lhs(1/2, xi), written as -log(cosh t + 2 d b sinh t)
-    with d = q - 1/2, t = d log xi and b = (1+xi)/(1-xi): both terms of
-    cosh t - 1 + 2 d b sinh t are O(d^2), so the gap stays accurate as q -> 1/2,
-    where the direct difference of the logs loses digits like 1/d^2."""
+def _crossing_gap(q: float, xi: float) -> tuple[float, float]:
+    """log lhs(q, xi) - log lhs(1/2, xi) and its slope in log xi.
+
+    The gap is -log(cosh t + 2 d b sinh t) with d = q - 1/2, t = d log xi and
+    b = (1+xi)/(1-xi), and its slope -d (sinh t + 2 d b cosh t + 4 xi/(1-xi)^2
+    sinh t) / (cosh t + 2 d b sinh t): every term of cosh t - 1 + 2 d b sinh t
+    and of the slope's numerator carries the O(d^2) size of the result, so both
+    stay accurate as q -> 1/2, where differences of the logs or of their
+    slopes lose digits like 1/d^2.
+    """
     d = q - 0.5
     t = d * math.log(xi)
     b = (1.0 + xi) / (1.0 - xi)
-    return -math.log1p(2.0 * math.sinh(0.5 * t) ** 2 + 2.0 * d * b * math.sinh(t))
+    sinh, cosh = math.sinh(t), math.cosh(t)
+    gap = -math.log1p(2.0 * math.sinh(0.5 * t) ** 2 + 2.0 * d * b * sinh)
+    slope = -d * (sinh + 2.0 * d * b * cosh + 4.0 * xi / (1.0 - xi) ** 2 * sinh)
+    return gap, slope / (cosh + 2.0 * d * b * sinh)
 
 
 def find_crossing(params_base: ModelParams, q: float, root_tol: float = 1e-15) -> float:
@@ -425,16 +424,15 @@ def find_crossing(params_base: ModelParams, q: float, root_tol: float = 1e-15) -
     _check_tol(root_tol)
     lo, hi = (derive_frequencies(ModelParams(params_base.omega0, lam)).xi
               for lam in _CROSSING_COUPLINGS)
-    g_lo, g_hi = _crossing_gap(q, lo), _crossing_gap(q, hi)
+    g_lo, g_hi = _crossing_gap(q, lo)[0], _crossing_gap(q, hi)[0]
     if not g_lo < 0.0 < g_hi:
         raise NoCrossingError(f"lhs(q, xi) - lhs(1/2, xi) does not rise through 0 between "
                               f"the couplings {_CROSSING_COUPLINGS} for q={q}")
 
     # The steps of _solve on one row: Newton on log xi from a log-linear
     # interpolation, pushed root_tol/4 toward the root.  A point outside the
-    # bracket, or a step that rounding has spoilt (the slope, within ~1e-8 of
-    # q = 1/2) or that is longer than the bracket (< 20 in log xi), gives way
-    # to the geometric midpoint.
+    # bracket, or a step that is not downhill or longer than the bracket
+    # (< 20 in log xi), gives way to the geometric midpoint.
     x = lo * (hi / lo) ** (g_lo / (g_lo - g_hi))
     nudge = 0.25 * root_tol
     for _ in range(_MAX_STEPS):
@@ -442,12 +440,11 @@ def find_crossing(params_base: ModelParams, q: float, root_tol: float = 1e-15) -
             break
         if not lo < x < hi:
             x = math.sqrt(lo * hi)
-        g = _crossing_gap(q, x)
+        g, slope = _crossing_gap(q, x)
         if g <= 0.0:
             lo = x
         if g >= 0.0:
             hi = x
-        slope = _dlog_lhs(q, x) - _dlog_lhs(0.5, x)
         step = -g / slope if slope > 0.0 else math.inf
         x = hi if step >= 20.0 else x * math.exp(step) * (1.0 + nudge if g < 0.0 else 1.0 - nudge)
     s = math.sqrt(0.5 * (lo + hi))

@@ -20,6 +20,8 @@ SWEEP_FIXTURES = [
     # error rows: negative couplings, and couplings past LAMBDA_MAX and the stability bound
     ("sweep_out_of_window.csv", "-0.2:0.6:17", ("--q", "0.5", "--q", "0.4"), 1),
     ("sweep_past_edge.csv", "0.4998:0.50005:6", ("--q", "0.5", "--q", "0.4"), 1),
+    # roots down to 1.8e-289 below the scan window, and rows with none above xi_p = 1e-290
+    ("sweep_decades.csv", "1e-300:1e-3:25:log", ("--q", "0.3", "--q", "0.5", "--q", "0.7"), 1),
 ]
 
 def run_cli(capsys, *argv):
@@ -148,6 +150,11 @@ class TestSweep:
         assert errors[0] is None and "coupling" in errors[1]
         assert payload[1]["xi_p"] is None
 
+    def test_exponent_outside_the_window_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--lambda-grid", "0.1:0.3:3", "--q", "0.2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_grid_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep")
         assert code == 2 and "lambda-grid" in err
@@ -210,6 +217,11 @@ class TestFigure1:
         assert out == (FIXTURES / "figure1_edge.csv").read_bytes().decode("utf-8")
         last = out.splitlines()[-1].split(",")
         assert last[1] != "nan" and last[2:] == ["nan"] * 4
+
+    def test_tolerance_floor_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "figure1", "--tol-root=nan")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestConfig:

@@ -254,21 +254,32 @@ class TestBatch:
         with pytest.raises(BracketError):
             batch.solution(1)
 
-    def test_non_monotone_scan_fails_every_row(self, monkeypatch):
+    def test_non_monotone_scan_raises(self, monkeypatch):
         monkeypatch.setattr(solver_module, "_SCAN", np.geomspace(1e-12, 1.0 - 1e-9, 2048)[::-1])
-        batch = solve_batch(0.4, [0.0, 1e-9, 0.3, 0.49995])
-        assert batch.errors[0] is None and batch.xi_p[0] == 0.0
-        for i in (1, 2):
-            assert isinstance(batch.errors[i], BracketError)
-            assert "not increasing" in str(batch.errors[i])
-        assert isinstance(batch.errors[3], DomainError)
+        with pytest.raises(BracketError, match="not increasing"):
+            solve_batch(0.4, [0.0, 1e-9, 0.3, 0.49995])
 
-    def test_exponent_and_tol_fail_every_row(self):
+    def test_exponent_and_tol_raise(self):
         for q, tol in ((0.25, 1e-15), (0.4, 1e-16), (0.4, math.nan), (0.4, math.inf)):
-            batch = solve_batch(q, [0.0, 0.3], tol=tol)
-            for i in range(2):
-                with pytest.raises(DomainError):
-                    batch.solution(i)
+            with pytest.raises(DomainError):
+                solve_batch(q, [0.0, 0.3], tol=tol)
+
+    def test_root_far_below_the_scan(self):
+        # the last bracket lies near 1e-270, where lo * hi underflows to 0
+        sol = solve_xi_p(ModelParams(coupling=1.7103101553873027e-188), 0.3)
+        assert abs(sol.xi_p / ref.XI_P_Q03_TINY - 1.0) <= 1e-13
+
+    def test_tiny_couplings_do_not_raise(self):
+        # away from q = 0.3 the smallest couplings have their roots below 1e-290
+        lams = np.geomspace(1e-200, 1e-100, 100)
+        for q in (0.3, 0.4, 0.5, 0.6, 0.7):
+            batch = solve_batch(q, lams)
+            for i, error in enumerate(batch.errors):
+                if error is None:
+                    assert batch.residual[i] <= 1e-13 * batch.rhs[i], (q, i)
+                else:
+                    assert "down to xi_p = 1e-290" in str(error), (q, i)
+            assert batch.errors[-1] is None, q
 
     def test_tol_is_the_bracket_width(self):
         tight = solve_batch(0.4, self.LAMS[1:])
@@ -333,6 +344,17 @@ class TestCrossing:
             f = derive_frequencies(p)
             sol = solve_xi_p(p, 0.3)
             assert math.copysign(1.0, sol.xi_p / f.xi - 1.0) == sign
+
+    def test_newton_rate_next_to_half(self, monkeypatch):
+        # the slope of the gap is O((q - 1/2)^2), written without cancellation
+        calls = []
+        gap = solver_module._crossing_gap
+        monkeypatch.setattr(solver_module, "_crossing_gap", lambda q, xi: calls.append(q) or gap(q, xi))
+        for offset in (1e-9, 1e-12, 2.0**-53):
+            for q in (0.5 - offset, 0.5 + offset):
+                calls.clear()
+                find_crossing(BASE, q)
+                assert len(calls) <= 15, q
 
     def test_degenerate_exponent(self):
         with pytest.raises(NoCrossingError, match="identically 1"):

@@ -45,6 +45,13 @@ def solve_root(lam, q, guess):
     return mp.findroot(lambda x: stationarity_lhs(q, x) - rhs, mp.mpf(guess))
 
 
+def solve_root_log(lam, q, guess):
+    """solve_root in log x, for a root whose lhs and rhs lie below findroot's absolute tolerance."""
+    log_rhs = mp.log(stationarity_rhs(lam))
+    y = mp.findroot(lambda y: mp.log(stationarity_lhs(q, mp.exp(y))) - log_rhs, mp.log(mp.mpf(guess)))
+    return mp.exp(y)
+
+
 def crossing(q):
     """Coupling where xi_p(q) = xi: the root of lhs(q, x) = lhs(1/2, x) in x."""
     def gap(x):
@@ -145,6 +152,9 @@ print()
 print("# couplings 1e-9 and 1e-5, where 1 - (1 - 2*coupling)^(1/4) cancels in doubles")
 emit("XI_1EM9", freqs(mp.mpf("1e-9"))[4])
 emit("XI_1EM5", freqs(mp.mpf("1e-5"))[4])
+print()
+print("# coupling = 1.7103101553873027e-188, q = 0.3, both as doubles: a root far below the scan")
+emit("XI_P_Q03_TINY", solve_root_log(mp.mpf(1.7103101553873027e-188), mp.mpf(0.3), "1.4e-270"))
 print()
 print("# coupling = 0.3, omega0 = 2 (scale covariance anchor)")
 om0 = mp.mpf(2)
