@@ -41,8 +41,6 @@ __all__ = ["main", "run"]
 
 _DEFAULTS = {
     "omega0": 1.0,
-    "tol_root": 1e-15,
-    "tol_trunc": 1e-14,
     "format": "csv",
 }
 
@@ -102,8 +100,6 @@ def _merge_config(args: argparse.Namespace):
         "omega0": ("omega0", float),
         "lambda": ("coupling", float),
         "lambda-grid": ("lambda_grid", str),
-        "tol-root": ("tol_root", float),
-        "tol-trunc": ("tol_trunc", float),
         "format": ("format", str),
         "out": ("out", str),
     }
@@ -165,9 +161,9 @@ def _emit(text: str, out: str | None):
         raise
 
 
-def _single_q(args, default: float = 0.5) -> float:
+def _single_q(args) -> float:
     if args.q is None:
-        return default
+        return 0.5
     if len(args.q) != 1:
         raise DomainError("this subcommand takes exactly one --q")
     return float(args.q[0])
@@ -184,7 +180,7 @@ def cmd_solve(args) -> int:
     q = _single_q(args)
     params = ModelParams(omega0=args.omega0, coupling=lam)
     f = derive_frequencies(params)
-    sol = slv.solve_xi_p(params, q, tol=args.tol_root)
+    sol = slv.solve_xi_p(params, q)
     e_p = energy_parametric(params, KernelSpec.sum_one(q), sol.xi_p)
     e_ex = exact_energy(params)
     report = ent.entropy_report(sol.xi_p)
@@ -241,7 +237,7 @@ def cmd_sweep(args) -> int:
     grid = _grid_from_args(args)
     qs = args.q if args.q else [0.5, 0.4, 0.3]
     params = ModelParams(omega0=args.omega0)
-    records = slv.sweep(params, qs, grid, root_tol=args.tol_root)
+    records = slv.sweep(params, qs, grid)
     if args.format == "json":
         payload = [dict(zip(_SWEEP_HEADER, _sweep_row(r))) for r in records]
         _emit(_json_text(payload), args.out)
@@ -252,13 +248,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_figure1(args) -> int:
+    if args.q is not None or args.coupling is not None:
+        raise DomainError("figure1 takes no q or lambda: its exponents are 0.4 and 0.3, "
+                          "and --lambda-grid sets its couplings")
     if args.lambda_grid is not None:
         grid = _parse_grid(args.lambda_grid)
     else:
         grid = [float(v) for v in np.linspace(0.005, 0.495, 99)]
     params = ModelParams(omega0=args.omega0)
-    batches = [(2, slv.solve_batch(0.4, grid, params.omega0, args.tol_root)),
-               (4, slv.solve_batch(0.3, grid, params.omega0, args.tol_root))]
+    batches = [(2, slv.solve_batch(0.4, grid, params.omega0)),
+               (4, slv.solve_batch(0.3, grid, params.omega0))]
     rows = []
     failed = 0
     nan = float("nan")
@@ -285,10 +284,7 @@ def cmd_figure1(args) -> int:
 def cmd_verify(args) -> int:
     lambdas = [float(args.coupling)] if args.coupling is not None else [0.1, 0.3]
     qs = [float(q) for q in args.q] if args.q else [0.5, 0.4]
-    checks = orc.run_verification(
-        omega0=args.omega0, lambdas=lambdas, qs=qs,
-        trunc_tol=args.tol_trunc, tamper=args.tamper,
-    )
+    checks = orc.run_verification(omega0=args.omega0, lambdas=lambdas, qs=qs, tamper=args.tamper)
     _emit(_json_text(checks), args.out)
     return 0 if all(c["pass"] for c in checks) else 1
 
@@ -298,15 +294,15 @@ def cmd_report(args) -> int:
     params = ModelParams(omega0=args.omega0)
     curves = []
     for q in qs:
-        entry = {"q": q, "scaling_exponent": slv.scaling_exponent(params, q, root_tol=args.tol_root)}
+        entry = {"q": q, "scaling_exponent": slv.scaling_exponent(params, q)}
         delta = abs(q - 0.5)
         entry["scaling_exponent_expected"] = 2.0 / (1.0 + 2.0 * delta)
         if q != 0.5:
-            entry["crossing_lambda"] = slv.find_crossing(params, q, root_tol=args.tol_root)
+            entry["crossing_lambda"] = slv.find_crossing(params, q)
         curves.append(entry)
 
     lam_grid = [float(v) for v in np.linspace(0.02, 0.44, 22)]
-    recovery = slv.sweep(params, [0.5], lam_grid, root_tol=args.tol_root)
+    recovery = slv.sweep(params, [0.5], lam_grid)
     for rec in recovery:
         if rec.error is not None:
             raise BracketError(rec.error)
@@ -352,10 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="START:STOP:COUNT[:log]", help="coupling grid specification")
     common.add_argument("--q", action="append", type=float, default=None,
                         help="kernel exponent; repeat for several")
-    common.add_argument("--tol-root", dest="tol_root", type=float, default=None,
-                        help="root-finder relative tolerance (default 1e-15)")
-    common.add_argument("--tol-trunc", dest="tol_trunc", type=float, default=None,
-                        help="spectral truncation tolerance (default 1e-14)")
     common.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output format (default csv; verify and report always emit JSON)")
     common.add_argument("--out", default=None, help="output path (default stdout); written atomically")

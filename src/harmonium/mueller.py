@@ -156,20 +156,22 @@ def energy_parametric(params: ModelParams, spec: KernelSpec, xi_p: float) -> Ene
     return EnergyBreakdown.from_terms(kinetic, external, interaction)
 
 
-def kernel_eval(
-    spec: KernelSpec,
-    params: ModelParams,
-    state: ParametricState,
-    x1,
-    x2,
-    trunc_tol: float = 1e-14,
-):
+def _check_state_matches(spec: KernelSpec, state: ParametricState):
+    if (state.q, state.r) != (spec.q, spec.r):
+        raise DomainError(f"state powers (q={state.q}, r={state.r}) differ from the "
+                          f"kernel's (q={spec.q}, r={spec.r})")
+
+
+def kernel_eval(spec: KernelSpec, params: ModelParams, state: ParametricState, x1, x2):
     """Pointwise pair kernel 2 n1(x1) n1(x2) - gamma_p^q gamma_p^r.
 
     n1 is the exact Gaussian density; the gamma_p factors are spectral
-    series at (state.xi_p, state.omega_p) truncated to trunc_tol.
+    series at (state.xi_p, state.omega_p) at the default truncation of
+    `occupation_spectrum`.  The state's powers must be the kernel's (q, r);
+    otherwise DomainError.
     """
-    spectrum = occupation_spectrum(state.xi_p, trunc_tol)
+    _check_state_matches(spec, state)
+    spectrum = occupation_spectrum(state.xi_p)
     direct = 2.0 * density(params, x1) * density(params, x2)
     gq = one_matrix(spectrum, state.omega_p, spec.q, x1, x2)
     gr = one_matrix(spectrum, state.omega_p, spec.r, x1, x2)

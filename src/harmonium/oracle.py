@@ -38,7 +38,13 @@ from .model import (
     exact_energy,
     wavefunction,
 )
-from .mueller import KernelSpec, energy_parametric, kernel_normalization, kinetic_parametric
+from .mueller import (
+    KernelSpec,
+    _check_state_matches,
+    energy_parametric,
+    kernel_normalization,
+    kinetic_parametric,
+)
 from .solver import solve_xi_p
 from .spectral import (
     OccupationSpectrum,
@@ -68,6 +74,9 @@ ORACLE_LAMBDA_MAX = 0.45
 _DOUBLING_TOL = 1e-9
 _REFERENCE_N_MAX = 170  # unnormalized Hermite values overflow soon after
 _GAUSS_HERMITE_N_MAX = 370  # hermgauss weights are all 0 at 371 nodes, inf/NaN after
+#: Points of the brute-force energy scan, and the bracket width at which its polish stops.
+_SCAN_POINTS = 4096
+_SCAN_XTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,12 +241,7 @@ def hamiltonian_expectation_numeric(
     return base
 
 
-def spectral_kinetic_sum(
-    xi_p: float,
-    omega_p: float,
-    trunc_tol: float = 1e-14,
-    rule: QuadratureRule | None = None,
-) -> float:
+def spectral_kinetic_sum(xi_p: float, omega_p: float, rule: QuadratureRule | None = None) -> float:
     """Two-particle kinetic energy summed orbital by orbital.
 
     Each orbital contributes the quadrature of (phi_n')^2 / 2, with the
@@ -245,7 +249,7 @@ def spectral_kinetic_sum(
     weighted sum times two (one factor per particle) must land on the
     closed-form kinetic energy of the family.
     """
-    spectrum = occupation_spectrum(xi_p, trunc_tol)
+    spectrum = occupation_spectrum(xi_p)
     n_orb = spectrum.truncation
     if rule is None:
         rule = gauss_hermite_rule(96, omega_p)
@@ -270,10 +274,10 @@ def _reference_power_matrix(
 
 
 def _kernel_on_grid(
-    params: ModelParams, spec: KernelSpec, state: ParametricState,
-    rule: QuadratureRule, trunc_tol: float,
+    params: ModelParams, spec: KernelSpec, state: ParametricState, rule: QuadratureRule
 ) -> np.ndarray:
-    spectrum = occupation_spectrum(state.xi_p, trunc_tol)
+    _check_state_matches(spec, state)
+    spectrum = occupation_spectrum(state.xi_p)
     n1 = density(params, rule.nodes)
     gq = _reference_power_matrix(spectrum, state.omega_p, spec.q, rule.nodes)
     gr = _reference_power_matrix(spectrum, state.omega_p, spec.r, rule.nodes)
@@ -285,14 +289,14 @@ def kernel_interaction_numeric(
     spec: KernelSpec,
     state: ParametricState,
     rule: QuadratureRule | None = None,
-    trunc_tol: float = 1e-14,
     check: bool = True,
 ) -> float:
     """Interaction energy as the plain double integral of kernel times potential.
 
     Integrates K_p(x1, x2) * (-coupling * omega0^2 (x1-x2)^2 / 2) on a
     tensor grid; the default per-axis scale omega_s matches the slowest
-    factor (the direct density term).
+    factor (the direct density term).  The state's powers must be the
+    kernel's (q, r), as in `kernel_eval`; otherwise DomainError.
     """
     _check_oracle_window(params)
     f = derive_frequencies(params)
@@ -300,7 +304,7 @@ def kernel_interaction_numeric(
         rule = gauss_hermite_rule(96, f.omega_s)
 
     def value(r: QuadratureRule) -> float:
-        kern = _kernel_on_grid(params, spec, state, r, trunc_tol)
+        kern = _kernel_on_grid(params, spec, state, r)
         x1 = r.nodes[:, None]
         x2 = r.nodes[None, :]
         integrand = kern * (-0.5 * params.coupling * params.omega0 ** 2 * (x1 - x2) ** 2)
@@ -317,32 +321,29 @@ def kernel_integral_numeric(
     spec: KernelSpec,
     state: ParametricState,
     rule: QuadratureRule | None = None,
-    trunc_tol: float = 1e-14,
 ) -> float:
     """Plain double integral of the pair kernel (2 minus the gamma^q gamma^r mass)."""
     _check_oracle_window(params)
     f = derive_frequencies(params)
     if rule is None:
         rule = gauss_hermite_rule(96, f.omega_s)
-    return quad_2d(rule, _kernel_on_grid(params, spec, state, rule, trunc_tol))
+    return quad_2d(rule, _kernel_on_grid(params, spec, state, rule))
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 
 
-def _golden_section(f, a, b, xtol, max_iter=200):
+def _golden_section(f, a, b):
     """Minimize a unimodal scalar function on [a, b] by golden-section search.
 
-    Returns (x, f(x)) once the bracket is narrower than xtol; derivative-free,
-    with linear convergence of ratio 1/phi.
+    Returns (x, f(x)) once the bracket is narrower than _SCAN_XTOL;
+    derivative-free, with linear convergence of ratio 1/phi.
     """
     h = b - a
     c, d = a + _INVPHI2 * h, a + _INVPHI * h
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if h <= xtol:
-            break
+    while h > _SCAN_XTOL:
         if fc < fd:
             b, d, fd = d, c, fc
             h = b - a
@@ -356,19 +357,15 @@ def _golden_section(f, a, b, xtol, max_iter=200):
     return (c, fc) if fc < fd else (d, fd)
 
 
-def brute_force_minimize(
-    params: ModelParams,
-    spec: KernelSpec,
-    points: int = 4096,
-    xtol: float = 1e-10,
-) -> tuple[float, float]:
+def brute_force_minimize(params: ModelParams, spec: KernelSpec) -> tuple[float, float]:
     """Minimize the parametric energy by dense scan plus golden-section polish.
 
-    Knows nothing about stationarity conditions or bracketing; serves as
-    the independent route to the variational minimum.  Returns (xi_p,
-    energy).
+    Scans 4096 points of [0, 0.999] and polishes the best one's neighbours
+    to a 1e-10 bracket.  Knows nothing about stationarity conditions or
+    bracketing; serves as the independent route to the variational minimum.
+    Returns (xi_p, energy).
     """
-    xs = np.linspace(0.0, 0.999, points)
+    xs = np.linspace(0.0, 0.999, _SCAN_POINTS)
 
     def objective(x: float) -> float:
         return energy_parametric(params, spec, float(x)).total
@@ -376,10 +373,8 @@ def brute_force_minimize(
     energies = np.array([objective(x) for x in xs])
     i = int(np.argmin(energies))
     lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, points - 1)]
-    if lo == hi:
-        return float(lo), float(energies[i])
-    x_min, e_min = _golden_section(objective, float(lo), float(hi), xtol=xtol)
+    hi = xs[min(i + 1, _SCAN_POINTS - 1)]
+    x_min, e_min = _golden_section(objective, float(lo), float(hi))
     return float(x_min), float(e_min)
 
 
@@ -401,7 +396,6 @@ def run_verification(
     omega0: float = 1.0,
     lambdas=(0.1, 0.3),
     qs=(0.5, 0.4),
-    trunc_tol: float = 1e-14,
     tamper: bool = False,
 ) -> list[dict]:
     """Cross-check closed forms against quadrature; one dict per check.
@@ -438,7 +432,7 @@ def run_verification(
             1.0, 1e-9, relative=False,
         ))
 
-        spectrum = occupation_spectrum(f.xi, trunc_tol)
+        spectrum = occupation_spectrum(f.xi)
         diag = one_matrix(spectrum, f.omega_bar, 1.0, dens_rule.nodes, dens_rule.nodes)
         checks.append(_entry(
             f"one_matrix_trace[{tag}]", quad_1d(dens_rule, diag), 1.0, 1e-9, relative=False,
@@ -464,9 +458,7 @@ def run_verification(
             f"virial_balance[{tag}]",
             numeric.kinetic, numeric.external + numeric.interaction, 1e-7, relative=False,
         ))
-        refined = hamiltonian_expectation_numeric(
-            params, rule=gauss_hermite_rule(192, 0.5 * (f.omega1 + f.omega2)), check=False
-        )
+        refined = hamiltonian_expectation_numeric(params, rule=_doubled(psi_rule), check=False)
         checks.append(_entry(
             f"node_doubling_hamiltonian[{tag}]",
             numeric.total, refined.total, _DOUBLING_TOL, relative=False,
@@ -476,11 +468,12 @@ def run_verification(
             omega_p = f.omega_s * (1.0 + xi_p) / (1.0 - xi_p)
             checks.append(_entry(
                 f"kinetic_sum[{tag},xi_p={xi_p:g}]",
-                spectral_kinetic_sum(xi_p, omega_p, trunc_tol=trunc_tol),
+                spectral_kinetic_sum(xi_p, omega_p),
                 kinetic_parametric(f.omega_s, xi_p),
                 1e-10, relative=True,
             ))
 
+        fine_dens_rule = _doubled(dens_rule)
         for q in qs:
             spec = KernelSpec.sum_one(float(q))
             sol = solve_xi_p(params, float(q))
@@ -488,17 +481,13 @@ def run_verification(
             qtag = f"{tag},q={q:g}"
             inter_tol = 1e-6 if lam >= 0.449 else 1e-7
             closed_inter = energy_parametric(params, spec, sol.xi_p).interaction * skew
-            base_rule = gauss_hermite_rule(96, f.omega_s)
-            numeric_inter = kernel_interaction_numeric(
-                params, spec, state, rule=base_rule, trunc_tol=trunc_tol, check=False
-            )
+            numeric_inter = kernel_interaction_numeric(params, spec, state, rule=dens_rule, check=False)
             checks.append(_entry(
                 f"kernel_interaction[{qtag}]", numeric_inter, closed_inter,
                 inter_tol, relative=True,
             ))
             refined_inter = kernel_interaction_numeric(
-                params, spec, state, rule=gauss_hermite_rule(192, f.omega_s),
-                trunc_tol=trunc_tol, check=False,
+                params, spec, state, rule=fine_dens_rule, check=False
             )
             checks.append(_entry(
                 f"node_doubling_kernel[{qtag}]",
@@ -506,7 +495,7 @@ def run_verification(
             ))
             checks.append(_entry(
                 f"kernel_mass[{qtag}]",
-                kernel_integral_numeric(params, spec, state, trunc_tol=trunc_tol),
+                kernel_integral_numeric(params, spec, state),
                 2.0 - kernel_normalization(spec, sol.xi_p),
                 1e-9, relative=False,
             ))

@@ -25,8 +25,10 @@ and each row is bracketed by one binary search in the scan.  All rows then
 advance together by Newton steps on log xi_p, using the analytic
 d log lhs / d log xi_p and falling back to the geometric midpoint whenever
 a step would leave the bracket, until each sign-change bracket is narrower
-than tol relative.  `solve_xi_p` is a batch of one on the same path, and
-`sweep`, `scaling_exponent` and the CLI make one `solve_batch` call per q.
+than 1e-15 relative.  That tolerance is fixed, because it is what keeps
+every root residual at or below 1e-13 * max(1, rhs).  `solve_xi_p` is a
+batch of one on the same path, and `sweep`, `scaling_exponent` and the CLI
+make one `solve_batch` call per q.
 `sweep` alone turns solved rows into records, with the q-independent
 columns computed once per coupling.
 
@@ -76,7 +78,8 @@ _SCAN.flags.writeable = False
 #: The decades below the scan window reach down to the first one at or below this xi_p.
 _WALK_FLOOR = 1e-290
 _MAX_STEPS = 200
-_TOL_FLOOR = 1e-15
+#: Relative width of the sign-change bracket at which a root or crossing stops.
+_TOL = 1e-15
 #: Couplings whose exact xi bracket the ratio crossing.
 _CROSSING_COUPLINGS = (1e-3, LAMBDA_MAX)
 
@@ -115,13 +118,6 @@ class SweepRecord:
 def _check_q(q: float):
     if not (Q_MIN <= q <= Q_MAX):
         raise DomainError(f"exponent q must lie in [{Q_MIN}, {Q_MAX}], got {q}")
-
-
-def _check_tol(tol: float):
-    if not math.isfinite(tol):
-        raise DomainError(f"tol must be finite, got {tol}")
-    if tol < _TOL_FLOOR:
-        raise DomainError(f"tol below {_TOL_FLOOR} exceeds double precision, got {tol}")
 
 
 def stationarity_lhs(q: float, xi_p):
@@ -198,36 +194,33 @@ class BatchSolution:
         )
 
 
-def solve_batch(q: float, couplings, omega0: float = 1.0, tol: float = 1e-15) -> BatchSolution:
+def solve_batch(q: float, couplings, omega0: float = 1.0) -> BatchSolution:
     """Solve the stationarity condition at exponent q for every coupling at once.
 
-    tol is the relative width of the sign-change bracket at which a row
-    stops; the residual of every root stays below ~1e-13 * max(1, rhs)
+    A row stops once its sign-change bracket is narrower than 1e-15
+    relative; the residual of every root stays below ~1e-13 * max(1, rhs)
     across the validated window.  coupling = 0 gives xi_p = 0.  Rows fail
     one by one: a coupling outside [0, LAMBDA_MAX] or a missing sign change
     sets only that row's error.  What would fail every row raises instead:
-    DomainError for an exponent outside [Q_MIN, Q_MAX] or a tol that is not
-    finite or below 1e-15, BracketError for a scan on which lhs is not
-    strictly increasing.
+    DomainError for an exponent outside [Q_MIN, Q_MAX], BracketError for a
+    scan on which lhs is not strictly increasing.
     """
-    return _solve(q, couplings, omega0, tol)
+    return _solve(q, couplings, omega0)
 
 
-def solve_xi_p(params: ModelParams, q: float, tol: float = 1e-15) -> StationaritySolution:
+def solve_xi_p(params: ModelParams, q: float) -> StationaritySolution:
     """Solve the stationarity condition for xi_p at exponent q.
 
-    A batch of one on the same path as `solve_batch`: tol is the relative
-    width of the final sign-change bracket, and the row's error is raised.
+    A batch of one on the same path as `solve_batch`; the row's error is raised.
     """
-    return _solve(q, (params.coupling,), params.omega0, tol).solution(0)
+    return _solve(q, (params.coupling,), params.omega0).solution(0)
 
 
-def _solve(q: float, couplings, omega0: float, tol: float) -> BatchSolution:
+def _solve(q: float, couplings, omega0: float) -> BatchSolution:
     # The body of solve_batch.  solve_xi_p calls it directly, so that the lhs
     # evaluations of a single solve are direct children of solve_xi_p in a
     # trace that wraps the public functions (benchmark/tracing.py).
     _check_q(q)
-    _check_tol(tol)
     lams = tuple(float(lam) for lam in couplings)
     n = len(lams)
     rhs = np.full(n, math.nan)
@@ -280,13 +273,13 @@ def _solve(q: float, couplings, omega0: float, tol: float) -> BatchSolution:
 
     # Newton steps on log xi from a log-log interpolation inside the bracket;
     # a point that leaves the bracket falls back to the geometric midpoint.
-    # Each point is pushed tol/4 further toward the root, so that once the
+    # Each point is pushed _TOL/4 further toward the root, so that once the
     # Newton point has converged the next one lands across the root and
     # closes the bracket.
     steps = np.zeros(rows.size, dtype=int)
     x = lo * (hi / lo) ** (np.log(r / llo) / np.log(lhi / llo))
-    nudge = 0.25 * tol
-    active = np.nonzero(hi - lo > tol * lo)[0]
+    nudge = 0.25 * _TOL
+    active = np.nonzero(hi - lo > _TOL * lo)[0]
     for _ in range(_MAX_STEPS):
         if not active.size:
             break
@@ -306,7 +299,7 @@ def _solve(q: float, couplings, omega0: float, tol: float) -> BatchSolution:
         x[active] = xa * np.exp(np.log(ra / fa) / _dlog_lhs(q, xa)) * np.where(
             up, 1.0 + nudge, 1.0 - nudge
         )
-        active = active[hi[active] - lo[active] > tol * lo[active]]
+        active = active[hi[active] - lo[active] > _TOL * lo[active]]
     root = 0.5 * (lo + hi)
     xi_p[rows] = root
     iterations[rows] = steps
@@ -314,12 +307,7 @@ def _solve(q: float, couplings, omega0: float, tol: float) -> BatchSolution:
     return BatchSolution(q, lams, rhs, xi_p, iterations, residual, tuple(errors))
 
 
-def sweep(
-    params_base: ModelParams,
-    q_list,
-    lambda_grid,
-    root_tol: float = 1e-15,
-) -> list[SweepRecord]:
+def sweep(params_base: ModelParams, q_list, lambda_grid) -> list[SweepRecord]:
     """Solve every (q, coupling) pair and collect records, q-major then
     coupling-minor, both ascending.
 
@@ -346,7 +334,7 @@ def sweep(
                           lam_dual, l_dual)
     records = []
     for q in qs:
-        batch = solve_batch(q, lams, omega0, root_tol)
+        batch = solve_batch(q, lams, omega0)
         spec = KernelSpec.sum_one(q)
         for lam, xi_p, error in zip(lams, batch.xi_p.tolist(), batch.errors):
             if error is not None:
@@ -372,14 +360,14 @@ class EntropyComparison:
     ordering: int
 
 
-def entropy_comparison(params: ModelParams, q: float, root_tol: float = 1e-15) -> EntropyComparison:
+def entropy_comparison(params: ModelParams, q: float) -> EntropyComparison:
     """Compare the variational linear entropy against the exact one.
 
     ordering is sign(l_parametric - l_exact) with ties (|difference| below
     1e-12) reported as 0; solver failures propagate.
     """
     f = derive_frequencies(params)
-    sol = solve_xi_p(params, q, tol=root_tol)
+    sol = solve_xi_p(params, q)
     l_par = linear_entropy(sol.xi_p)
     l_ex = linear_entropy(f.xi)
     diff = l_par - l_ex
@@ -408,20 +396,19 @@ def _crossing_gap(q: float, xi: float) -> tuple[float, float]:
     return gap, slope / (cosh + 2.0 * d * b * sinh)
 
 
-def find_crossing(params_base: ModelParams, q: float, root_tol: float = 1e-15) -> float:
+def find_crossing(params_base: ModelParams, q: float) -> float:
     """Coupling at which the ratio xi_p/xi crosses 1 for the given exponent.
 
     q = 1/2 recovers the exact xi at every coupling, so the crossing xi solves
     lhs(q, xi) = lhs(1/2, xi), an equation without the coupling.  The gap of
     the two sides rises through 0 on the xi images of couplings [1e-3,
-    LAMBDA_MAX]; the safeguarded Newton steps of `solve_batch` find its root,
-    root_tol being the relative width of the final sign-change bracket in xi,
-    and the coupling follows as (1 - u^4)/2 with u = (1 - sqrt(xi))/(1 + sqrt(xi)).
+    LAMBDA_MAX]; the safeguarded Newton steps of `solve_batch` find its root
+    to the same 1e-15 relative bracket width in xi, and the coupling follows
+    as (1 - u^4)/2 with u = (1 - sqrt(xi))/(1 + sqrt(xi)).
     """
     _check_q(q)
     if q == 0.5:
         raise NoCrossingError("the ratio is identically 1 at q = 0.5; no crossing to find")
-    _check_tol(root_tol)
     lo, hi = (derive_frequencies(ModelParams(params_base.omega0, lam)).xi
               for lam in _CROSSING_COUPLINGS)
     g_lo, g_hi = _crossing_gap(q, lo)[0], _crossing_gap(q, hi)[0]
@@ -430,13 +417,13 @@ def find_crossing(params_base: ModelParams, q: float, root_tol: float = 1e-15) -
                               f"the couplings {_CROSSING_COUPLINGS} for q={q}")
 
     # The steps of _solve on one row: Newton on log xi from a log-linear
-    # interpolation, pushed root_tol/4 toward the root.  A point outside the
+    # interpolation, pushed _TOL/4 toward the root.  A point outside the
     # bracket, or a step that is not downhill or longer than the bracket
     # (< 20 in log xi), gives way to the geometric midpoint.
     x = lo * (hi / lo) ** (g_lo / (g_lo - g_hi))
-    nudge = 0.25 * root_tol
+    nudge = 0.25 * _TOL
     for _ in range(_MAX_STEPS):
-        if hi - lo <= root_tol * lo:
+        if hi - lo <= _TOL * lo:
             break
         if not lo < x < hi:
             x = math.sqrt(lo * hi)
@@ -452,7 +439,7 @@ def find_crossing(params_base: ModelParams, q: float, root_tol: float = 1e-15) -
     return 0.5 * (1.0 - u ** 4)
 
 
-def scaling_exponent(params_base: ModelParams, q: float, root_tol: float = 1e-15) -> float:
+def scaling_exponent(params_base: ModelParams, q: float) -> float:
     """Fitted slope of log xi_p versus log coupling over [1e-4, 1e-3].
 
     1/max(q, 1-q) is the small-coupling limit of the slope (2 at q = 1/2).
@@ -462,7 +449,7 @@ def scaling_exponent(params_base: ModelParams, q: float, root_tol: float = 1e-15
     The slope is symmetric under q <-> 1-q.
     """
     lams = np.geomspace(1e-4, 1e-3, 8)
-    batch = solve_batch(q, lams, params_base.omega0, root_tol)
+    batch = solve_batch(q, lams, params_base.omega0)
     roots = [batch.solution(i).xi_p for i in range(lams.size)]
     slope = np.polyfit(np.log(lams), np.log(roots), 1)[0]
     return float(slope)

@@ -39,6 +39,18 @@ class TestParser:
         assert cli._build_parser.cache_info().misses == misses == 1
         assert cli._build_parser() is cli._build_parser()
 
+    @pytest.mark.parametrize("command", ["solve", "sweep", "figure1", "verify", "report"])
+    def test_tolerances_are_not_options(self, capsys, tmp_path, command):
+        # the root and truncation tolerances are fixed; neither flag nor config key exists
+        for flag in (["--tol-root", "1e-6"], ["--tol-trunc", "1e-10"]):
+            with pytest.raises(SystemExit) as exc:
+                main([command, *flag])
+            assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol-root=1e-6\n")
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2 and out == "" and "tol-root" in err
+
     def test_parses_share_no_state(self):
         parser = cli._build_parser()
         assert parser.parse_args(["sweep", "--q", "0.4", "--q", "0.3"]).q == [0.4, 0.3]
@@ -100,13 +112,12 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "--lambda", "0.6")
         assert code == 2 and "0.5" in err
 
-    def test_tolerance_floor(self, capsys):
-        code, _, err = run_cli(capsys, "solve", "--lambda", "0.3", "--tol-root", "1e-16")
-        assert code == 2
-        for tol in ("nan", "inf"):
-            code, out, err = run_cli(capsys, "solve", "--lambda", "0.3", "--q", "0.4",
-                                     f"--tol-root={tol}")
-            assert code == 2 and out == "" and "finite" in err
+    @pytest.mark.parametrize("fmt, fixture", [("csv", "solve_q04.csv"), ("json", "solve_q04.json")])
+    def test_output_matches_frozen_bytes(self, capsys, fmt, fixture):
+        # the fixtures hold the output of `python -m harmonium solve --lambda 0.3 --q 0.4 --format FMT`
+        code, out, _ = run_cli(capsys, "solve", "--lambda", "0.3", "--q", "0.4", "--format", fmt)
+        assert code == 0
+        assert out == (FIXTURES / fixture).read_bytes().decode("utf-8")
 
     def test_solver_failure_maps_to_exit_3(self, capsys, monkeypatch):
         def boom(*a, **k):
@@ -218,10 +229,15 @@ class TestFigure1:
         last = out.splitlines()[-1].split(",")
         assert last[1] != "nan" and last[2:] == ["nan"] * 4
 
-    def test_tolerance_floor_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "figure1", "--tol-root=nan")
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+    @pytest.mark.parametrize("key, value", [("q", "0.2"), ("lambda", "0.3")])
+    def test_q_and_lambda_are_usage_errors(self, capsys, tmp_path, key, value):
+        # figure1 fixes its exponents and takes its couplings from --lambda-grid only
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        for argv in ([f"--{key}", value], ["--config", str(cfg)]):
+            code, out, err = run_cli(capsys, "figure1", *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestConfig:
@@ -263,6 +279,18 @@ class TestVerify:
         assert code == 0
         checks = json.loads(out)
         assert checks and all(c["pass"] for c in checks)
+
+    def test_default_flags_match_frozen_bytes(self, capsys):
+        # the fixture holds the output of `python -m harmonium verify`
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 0
+        assert out == (FIXTURES / "verify_default.json").read_bytes().decode("utf-8")
+
+    def test_lambda_and_q_match_frozen_bytes(self, capsys):
+        # the fixture holds the output of `python -m harmonium verify --lambda 0.45 --q 0.3 --q 0.7`
+        code, out, _ = run_cli(capsys, "verify", "--lambda", "0.45", "--q", "0.3", "--q", "0.7")
+        assert code == 0
+        assert out == (FIXTURES / "verify_lambda045.json").read_bytes().decode("utf-8")
 
     def test_tamper_flips_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--lambda", "0.3", "--q", "0.5",

@@ -200,6 +200,19 @@ class TestKernelNumeric:
         got = kernel_integral_numeric(P03, KernelSpec.sum_one(0.5), st)
         assert got == pytest.approx(1.0, abs=1e-9)
 
+    def test_state_and_spec_must_share_powers(self):
+        from harmonium import kernel_eval
+
+        f = derive_frequencies(P03)
+        spec = KernelSpec.sum_one(0.4)
+        st = parametric_state(f.omega_s, 0.3, solve_xi_p(P03, 0.3).xi_p)
+        with pytest.raises(DomainError, match="differ"):
+            kernel_eval(spec, P03, st, 0.1, 0.2)
+        with pytest.raises(DomainError, match="differ"):
+            kernel_interaction_numeric(P03, spec, st, check=False)
+        with pytest.raises(DomainError, match="differ"):
+            kernel_integral_numeric(P03, spec, st)
+
     def test_mass_equal_powers(self):
         f = derive_frequencies(P03)
         st = schmidt_state(f, 0.6, r=0.6)

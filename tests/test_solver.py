@@ -142,10 +142,6 @@ class TestSolve:
             with pytest.raises(DomainError):
                 solve_xi_p(P03, q)
 
-    def test_tol_floor(self):
-        with pytest.raises(DomainError):
-            solve_xi_p(P03, 0.5, tol=1e-16)
-
     def test_local_minimality(self):
         # the root is a minimum of the energy, not just a stationary point
         from harmonium import KernelSpec, energy_parametric
@@ -260,9 +256,8 @@ class TestBatch:
             solve_batch(0.4, [0.0, 1e-9, 0.3, 0.49995])
 
     def test_exponent_and_tol_raise(self):
-        for q, tol in ((0.25, 1e-15), (0.4, 1e-16), (0.4, math.nan), (0.4, math.inf)):
-            with pytest.raises(DomainError):
-                solve_batch(q, [0.0, 0.3], tol=tol)
+        with pytest.raises(DomainError):
+            solve_batch(0.25, [0.0, 0.3])
 
     def test_root_far_below_the_scan(self):
         # the last bracket lies near 1e-270, where lo * hi underflows to 0
@@ -280,11 +275,6 @@ class TestBatch:
                 else:
                     assert "down to xi_p = 1e-290" in str(error), (q, i)
             assert batch.errors[-1] is None, q
-
-    def test_tol_is_the_bracket_width(self):
-        tight = solve_batch(0.4, self.LAMS[1:])
-        loose = solve_batch(0.4, self.LAMS[1:], tol=1e-6)
-        assert np.all(np.abs(loose.xi_p / tight.xi_p - 1.0) <= 1e-6)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -370,13 +360,6 @@ class TestCrossing:
         for q in (0.2, 0.29, 0.71, 0.8):
             with pytest.raises(DomainError):
                 find_crossing(BASE, q)
-
-    def test_tolerance_floor(self):
-        with pytest.raises(DomainError, match="double precision"):
-            find_crossing(BASE, 0.4, root_tol=1e-16)
-        for tol in (math.nan, math.inf):
-            with pytest.raises(DomainError, match="finite"):
-                find_crossing(BASE, 0.4, root_tol=tol)
 
 
 class TestScaling:
