@@ -3,13 +3,13 @@
 Subcommands: solve (one stationarity problem), sweep (grids of them),
 figure1 (the two ratio curves on the standard grid), verify (quadrature
 cross-checks as JSON), report (crossings, scaling exponents, mean-field
-summary).  Flags can also be supplied through a key=value config file;
-explicit flags win.  Outputs are CSV (comma separated, header row, LF,
-UTF-8, 17 significant digits) or JSON, written atomically when --out is
-given.  Each of sweep, figure1 and report solves one batch of couplings
-per exponent.  The argument parser is built once per process; `main`
-dispatches to the module's `cmd_<subcommand>` function by name at call
-time.
+summary).  Each takes only the flags its cmd_* reads (`_SUBCOMMANDS`),
+also through a key=value config file; explicit flags win.  Outputs are
+CSV (comma separated, header row, LF, UTF-8, 17 significant digits) or
+JSON, written atomically when --out is given.  Each of sweep, figure1
+and report solves one batch of couplings per exponent.  The argument
+parser is built once per process; `main` dispatches to the module's
+`cmd_<subcommand>` function by name at call time.
 
 Exit codes: 0 success, 1 failed checks or too many failed rows, 2 domain
 error or bad usage, 3 solver failure.
@@ -93,32 +93,33 @@ def _read_config(path: str) -> dict:
     return values
 
 
+#: Config key -> (namespace attribute, converter, what the value must be).
+_CONFIG_KEYS = {
+    "omega0": ("omega0", float, "float"),
+    "lambda": ("coupling", float, "float"),
+    "lambda-grid": ("lambda_grid", str, "str"),
+    "q": ("q", lambda text: [float(tok) for tok in text.replace(",", " ").split()], "float list"),
+    "format": ("format", str, "str"),
+    "out": ("out", str, "str"),
+}
+
+
 def _merge_config(args: argparse.Namespace):
-    """Fill unset flags from the config file, then apply hard defaults."""
+    """Fill unset flags from the config file (a subcommand's flags only), then apply defaults."""
     cfg = _read_config(args.config) if args.config else {}
-    mapping = {
-        "omega0": ("omega0", float),
-        "lambda": ("coupling", float),
-        "lambda-grid": ("lambda_grid", str),
-        "format": ("format", str),
-        "out": ("out", str),
-    }
-    for key, (attr, conv) in mapping.items():
-        if key in cfg and getattr(args, attr, None) is None:
-            try:
-                setattr(args, attr, conv(cfg[key]))
-            except ValueError:
-                raise DomainError(f"config value for {key} is not a {conv.__name__}: {cfg[key]!r}")
-    if "q" in cfg and getattr(args, "q", None) is None:
-        try:
-            args.q = [float(tok) for tok in cfg["q"].replace(",", " ").split()]
-        except ValueError:
-            raise DomainError(f"config value for q is not a float list: {cfg['q']!r}")
-    unknown = set(cfg) - set(mapping) - {"q"}
+    unknown = [key for key in cfg
+               if key not in _CONFIG_KEYS or not hasattr(args, _CONFIG_KEYS[key][0])]
     if unknown:
         raise DomainError(f"unknown config keys: {sorted(unknown)}")
-    for attr, value in _DEFAULTS.items():
+    for key, text in cfg.items():
+        attr, conv, what = _CONFIG_KEYS[key]
         if getattr(args, attr) is None:
+            try:
+                setattr(args, attr, conv(text))
+            except ValueError:
+                raise DomainError(f"config value for {key} is not a {what}: {text!r}")
+    for attr, value in _DEFAULTS.items():
+        if hasattr(args, attr) and getattr(args, attr) is None:
             setattr(args, attr, value)
 
 
@@ -248,9 +249,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_figure1(args) -> int:
-    if args.q is not None or args.coupling is not None:
-        raise DomainError("figure1 takes no q or lambda: its exponents are 0.4 and 0.3, "
-                          "and --lambda-grid sets its couplings")
     if args.lambda_grid is not None:
         grid = _parse_grid(args.lambda_grid)
     else:
@@ -338,36 +336,43 @@ def cmd_report(args) -> int:
     return 0
 
 
+_FLAGS = {
+    "--omega0": dict(type=float, help="confinement frequency (default 1.0)"),
+    "--lambda": dict(dest="coupling", type=float, help="interaction strength, must stay below 0.5"),
+    "--lambda-grid": dict(dest="lambda_grid", metavar="START:STOP:COUNT[:log]",
+                          help="coupling grid specification"),
+    "--q": dict(action="append", type=float, help="kernel exponent; repeat for several"),
+    "--format": dict(choices=("csv", "json"), help="output format (default csv)"),
+    "--tamper": dict(action="store_true", help=argparse.SUPPRESS),
+    "--out": dict(help="output path (default stdout); written atomically"),
+    "--config": dict(help="key=value file supplying defaults for this subcommand's flags"),
+}
+
+#: Subcommand -> (help, the flags its cmd_* reads besides --omega0, --out and --config).
+_SUBCOMMANDS = {
+    "solve": ("solve the stationarity condition at one (lambda, q)",
+              ("--lambda", "--q", "--format")),
+    "sweep": ("tabulate solutions over a coupling grid",
+              ("--lambda", "--lambda-grid", "--q", "--format")),
+    "figure1": ("ratio curves for q = 0.4 and 0.3 on the standard grid",
+                ("--lambda-grid", "--format")),
+    "verify": ("run the quadrature cross-checks", ("--lambda", "--q", "--tamper")),
+    "report": ("crossings, scaling exponents and mean-field summary", ("--q",)),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--omega0", type=float, default=None, help="confinement frequency (default 1.0)")
-    common.add_argument("--lambda", dest="coupling", type=float, default=None,
-                        help="interaction strength, must stay below 0.5")
-    common.add_argument("--lambda-grid", dest="lambda_grid", default=None,
-                        metavar="START:STOP:COUNT[:log]", help="coupling grid specification")
-    common.add_argument("--q", action="append", type=float, default=None,
-                        help="kernel exponent; repeat for several")
-    common.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="output format (default csv; verify and report always emit JSON)")
-    common.add_argument("--out", default=None, help="output path (default stdout); written atomically")
-    common.add_argument("--config", default=None, help="key=value file supplying defaults for the flags above")
-
     parser = argparse.ArgumentParser(
         prog="harmonium",
         description="Variational occupation-number toolkit for the harmonically confined pair.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("solve", parents=[common],
-                   help="solve the stationarity condition at one (lambda, q)")
-    sub.add_parser("sweep", parents=[common],
-                   help="tabulate solutions over a coupling grid")
-    sub.add_parser("figure1", parents=[common],
-                   help="ratio curves for q = 0.4 and 0.3 on the standard grid")
-    verify = sub.add_parser("verify", parents=[common], help="run the quadrature cross-checks")
-    verify.add_argument("--tamper", action="store_true", help=argparse.SUPPRESS)
-    sub.add_parser("report", parents=[common],
-                   help="crossings, scaling exponents and mean-field summary")
+    for name, (help_text, flags) in _SUBCOMMANDS.items():
+        # no prefix matching: on figure1, --lambda would otherwise mean --lambda-grid
+        command = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in ("--omega0", *flags, "--out", "--config"):
+            command.add_argument(flag, **_FLAGS[flag])
     return parser
 
 

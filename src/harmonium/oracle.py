@@ -42,7 +42,6 @@ from .mueller import (
     KernelSpec,
     _check_state_matches,
     energy_parametric,
-    kernel_normalization,
     kinetic_parametric,
 )
 from .solver import solve_xi_p
@@ -194,9 +193,9 @@ def one_matrix_numeric(
     if rule is None:
         rule = gauss_hermite_rule(96, 0.5 * (f.omega1 + f.omega2))
 
-    def value(r: QuadratureRule) -> float:
-        s = r.nodes
-        return quad_1d(r, wavefunction(params, x, s) * wavefunction(params, xp, s))
+    def value(grid: QuadratureRule) -> float:
+        s = grid.nodes
+        return quad_1d(grid, wavefunction(params, x, s) * wavefunction(params, xp, s))
 
     base = value(rule)
     if check:
@@ -220,9 +219,9 @@ def hamiltonian_expectation_numeric(
     sum_w = 0.5 * (f.omega1 + f.omega2)
     diff_w = 0.5 * (f.omega1 - f.omega2)
 
-    def breakdown(r: QuadratureRule) -> EnergyBreakdown:
-        x1 = r.nodes[:, None]
-        x2 = r.nodes[None, :]
+    def breakdown(grid: QuadratureRule) -> EnergyBreakdown:
+        x1 = grid.nodes[:, None]
+        x2 = grid.nodes[None, :]
         psi2 = wavefunction(params, x1, x2) ** 2
         g1 = -sum_w * x1 - diff_w * x2
         g2 = -sum_w * x2 - diff_w * x1
@@ -230,7 +229,7 @@ def hamiltonian_expectation_numeric(
         ext = 0.5 * params.omega0 ** 2 * (x1 ** 2 + x2 ** 2) * psi2
         inter = -0.5 * params.coupling * params.omega0 ** 2 * (x1 - x2) ** 2 * psi2
         return EnergyBreakdown.from_terms(
-            quad_2d(r, kin), quad_2d(r, ext), quad_2d(r, inter)
+            quad_2d(grid, kin), quad_2d(grid, ext), quad_2d(grid, inter)
         )
 
     base = breakdown(rule)
@@ -295,20 +294,20 @@ def kernel_interaction_numeric(
 
     Integrates K_p(x1, x2) * (-coupling * omega0^2 (x1-x2)^2 / 2) on a
     tensor grid; the default per-axis scale omega_s matches the slowest
-    factor (the direct density term).  The state's powers must be the
-    kernel's (q, r), as in `kernel_eval`; otherwise DomainError.
+    factor (the direct density term).  The state's q must be the kernel's,
+    as in `kernel_eval`; otherwise DomainError.
     """
     _check_oracle_window(params)
     f = derive_frequencies(params)
     if rule is None:
         rule = gauss_hermite_rule(96, f.omega_s)
 
-    def value(r: QuadratureRule) -> float:
-        kern = _kernel_on_grid(params, spec, state, r)
-        x1 = r.nodes[:, None]
-        x2 = r.nodes[None, :]
+    def value(grid: QuadratureRule) -> float:
+        kern = _kernel_on_grid(params, spec, state, grid)
+        x1 = grid.nodes[:, None]
+        x2 = grid.nodes[None, :]
         integrand = kern * (-0.5 * params.coupling * params.omega0 ** 2 * (x1 - x2) ** 2)
-        return quad_2d(r, integrand)
+        return quad_2d(grid, integrand)
 
     base = value(rule)
     if check:
@@ -322,7 +321,7 @@ def kernel_integral_numeric(
     state: ParametricState,
     rule: QuadratureRule | None = None,
 ) -> float:
-    """Plain double integral of the pair kernel (2 minus the gamma^q gamma^r mass)."""
+    """Plain double integral of the pair kernel: 2 minus the gamma^q gamma^(1-q) mass, so 1."""
     _check_oracle_window(params)
     f = derive_frequencies(params)
     if rule is None:
@@ -496,7 +495,7 @@ def run_verification(
             checks.append(_entry(
                 f"kernel_mass[{qtag}]",
                 kernel_integral_numeric(params, spec, state),
-                2.0 - kernel_normalization(spec, sol.xi_p),
+                1.0,
                 1e-9, relative=False,
             ))
             scan_xi, _ = brute_force_minimize(params, spec)

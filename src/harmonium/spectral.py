@@ -173,34 +173,29 @@ def omega_p_from_constraint(omega_s: float, xi_p: float) -> float:
 
 @dataclass(frozen=True)
 class ParametricState:
-    """A point of the model family: kernel powers plus (xi_p, omega_p)."""
+    """A point of the model family: kernel power q (its partner is 1 - q) plus (xi_p, omega_p)."""
 
     q: float
-    r: float
     xi_p: float
     omega_p: float
 
     def __post_init__(self):
-        if not (self.q > 0.0 and self.r > 0.0):
-            raise DomainError(f"kernel powers must be positive, got q={self.q}, r={self.r}")
+        if not (0.0 < self.q < 1.0):
+            raise DomainError(f"kernel power q must lie in (0, 1), got {self.q}")
         _check_xi(self.xi_p, "xi_p")
         if not self.omega_p > 0.0:
             raise DomainError(f"omega_p must be positive, got {self.omega_p}")
 
 
-def parametric_state(omega_s: float, q: float, xi_p: float, r: float | None = None) -> ParametricState:
-    """Build a ParametricState with omega_p fixed by the density-width constraint."""
-    if r is None:
-        r = 1.0 - q
-    return ParametricState(q=q, r=r, xi_p=xi_p, omega_p=omega_p_from_constraint(omega_s, xi_p))
+def parametric_state(omega_s: float, q: float, xi_p: float) -> ParametricState:
+    """The state at kernel power q and xi_p, omega_p fixed by the density-width constraint."""
+    return ParametricState(q=q, xi_p=xi_p, omega_p=omega_p_from_constraint(omega_s, xi_p))
 
 
-def schmidt_state(freqs, q: float, r: float | None = None) -> ParametricState:
-    """The exact point of the family: xi_p = xi, orbitals at omega_bar.
+def schmidt_state(freqs, q: float) -> ParametricState:
+    """The exact point of the family at kernel power q: xi_p = xi, orbitals at omega_bar.
 
     omega_bar coincides with omega_s (1 + xi)/(1 - xi), so this is
     parametric_state evaluated at the exact correlation parameter.
     """
-    if r is None:
-        r = 1.0 - q
-    return ParametricState(q=q, r=r, xi_p=freqs.xi, omega_p=freqs.omega_bar)
+    return ParametricState(q=q, xi_p=freqs.xi, omega_p=freqs.omega_bar)

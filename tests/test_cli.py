@@ -24,6 +24,18 @@ SWEEP_FIXTURES = [
     ("sweep_decades.csv", "1e-300:1e-3:25:log", ("--q", "0.3", "--q", "0.5", "--q", "0.7"), 1),
 ]
 
+#: Flags of other subcommands that these subcommands once accepted and ignored
+#: (figure1's --q and --lambda are in TestFigure1).
+IGNORED_FLAGS = [
+    ("solve", "--lambda-grid", "0.1:0.2:3"),
+    ("verify", "--lambda-grid", "0.1:0.2:3"),
+    ("verify", "--format", "csv"),
+    ("report", "--lambda", "0.3"),
+    ("report", "--lambda-grid", "0.1:0.2:3"),
+    ("report", "--format", "json"),
+]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -50,6 +62,19 @@ class TestParser:
         cfg.write_text("tol-root=1e-6\n")
         code, out, err = run_cli(capsys, command, "--config", str(cfg))
         assert code == 2 and out == "" and "tol-root" in err
+
+    @pytest.mark.parametrize("command, flag, value", IGNORED_FLAGS,
+                             ids=[f"{c}{f}" for c, f, _ in IGNORED_FLAGS])
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, capsys, tmp_path,
+                                                           command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value])
+        assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+        key = flag[2:]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2 and out == "" and "unknown config keys" in err and repr(key) in err
 
     def test_parses_share_no_state(self):
         parser = cli._build_parser()
@@ -232,12 +257,14 @@ class TestFigure1:
     @pytest.mark.parametrize("key, value", [("q", "0.2"), ("lambda", "0.3")])
     def test_q_and_lambda_are_usage_errors(self, capsys, tmp_path, key, value):
         # figure1 fixes its exponents and takes its couplings from --lambda-grid only
+        with pytest.raises(SystemExit) as exc:
+            main(["figure1", f"--{key}", value])
+        assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = {value}\n")
-        for argv in ([f"--{key}", value], ["--config", str(cfg)]):
-            code, out, err = run_cli(capsys, "figure1", *argv)
-            assert code == 2 and out == ""
-            assert err.startswith("error: ") and err.count("\n") == 1
+        code, out, err = run_cli(capsys, "figure1", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestConfig:

@@ -1,21 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_values as ref
 from harmonium import (
     DomainError,
-    KernelFamily,
     KernelSpec,
     ModelParams,
     density,
     derive_frequencies,
     energy_parametric,
     interaction_bracket,
-    interaction_bracket_equal_powers,
     kernel_eval,
-    kernel_normalization,
     kinetic_parametric,
     parametric_state,
     schmidt_state,
@@ -29,44 +26,27 @@ class TestKernelSpec:
     def test_sum_one_ties_r(self):
         spec = KernelSpec.sum_one(0.4)
         assert spec.r == pytest.approx(0.6, rel=1e-15)
-        assert spec.family is KernelFamily.SUM_ONE
-
-    def test_equal_powers_ties_r(self):
-        spec = KernelSpec.equal_powers(0.6)
-        assert spec.r == 0.6
-        assert spec.family is KernelFamily.EQUAL_POWERS
 
     @pytest.mark.parametrize("q", [0.0, 1.0, -0.2, 1.3])
     def test_power_window(self, q):
         with pytest.raises(DomainError):
             KernelSpec.sum_one(q)
 
-    def test_closure_consistency(self):
-        with pytest.raises(DomainError):
-            KernelSpec(q=0.4, r=0.5, family=KernelFamily.SUM_ONE)
-        with pytest.raises(DomainError):
-            KernelSpec(q=0.4, r=0.5, family=KernelFamily.EQUAL_POWERS)
-
-
-class TestNormalization:
-    def test_sum_one_is_exactly_one(self):
-        for q in (0.3, 0.5, 0.7):
-            for xi in (0.0, 0.013, 0.4, 0.95):
-                assert kernel_normalization(KernelSpec.sum_one(q), xi) == 1.0
-
-    def test_equal_powers_reference(self):
-        spec = KernelSpec.equal_powers(0.6)
-        assert kernel_normalization(spec, ref.XI_03) == pytest.approx(
-            ref.KERNEL_NORM_EQ_Q06_03, rel=1e-14
-        )
-
-    def test_equal_powers_below_one(self):
-        spec = KernelSpec.equal_powers(0.6)
-        for xi in (0.05, 0.3, 0.8):
-            assert kernel_normalization(spec, xi) < 1.0
-
-    def test_uncorrelated(self):
-        assert kernel_normalization(KernelSpec.equal_powers(0.55), 0.0) == 1.0
+    @settings(max_examples=500, deadline=None)
+    @given(q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(q=2.0 ** -53)
+    @example(q=2.0 ** -54)
+    @example(q=0.5 - 2.0 ** -54)
+    @example(q=1.0 - 2.0 ** -53)
+    def test_powers_sum_to_exactly_one(self, q):
+        # the kernel mass (1-xi)^(q+r) / (1-xi^(q+r)) is 1 because q + r is 1 to the bit
+        if 1.0 - q == 1.0:
+            # q <= 2^-54: r rounds to 1, which lies outside (0, 1)
+            with pytest.raises(DomainError):
+                KernelSpec.sum_one(q)
+            return
+        spec = KernelSpec.sum_one(q)
+        assert spec.q + spec.r == 1.0
 
 
 class TestBrackets:
@@ -96,18 +76,6 @@ class TestBrackets:
         xi = np.linspace(0.0, 0.99, 40)
         vals = np.array([interaction_bracket(0.4, v) for v in xi])
         assert np.all(vals >= 1.0) and np.all(vals < 2.0)
-
-    def test_equal_powers_reference(self):
-        assert interaction_bracket_equal_powers(0.6, 0.6, ref.XI_03) == pytest.approx(
-            ref.BRACKET_EQ_Q06_03, rel=1e-14
-        )
-
-    def test_equal_powers_reduces_on_the_simplex(self):
-        for q in (0.3, 0.45, 0.5):
-            for xi in (0.01, 0.2, 0.6):
-                assert interaction_bracket_equal_powers(q, 1.0 - q, xi) == pytest.approx(
-                    interaction_bracket(q, xi), rel=1e-13
-                )
 
     @settings(max_examples=150, deadline=None)
     @given(q=st.floats(0.05, 0.95), xi=st.floats(0.0, 0.99))
@@ -184,11 +152,6 @@ class TestEnergyParametric:
         sol = solve_xi_p(P03, 0.3)
         e_min = energy_parametric(P03, KernelSpec.sum_one(0.3), sol.xi_p).total
         assert e_min < e_ex - 1e-3
-
-    def test_equal_powers_interaction(self):
-        e = energy_parametric(P03, KernelSpec.equal_powers(0.6), F03.xi)
-        expect = -0.15 / F03.omega_s * ref.BRACKET_EQ_Q06_03
-        assert e.interaction == pytest.approx(expect, rel=1e-13)
 
     def test_domain(self):
         spec = KernelSpec.sum_one(0.5)

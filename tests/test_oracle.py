@@ -184,16 +184,6 @@ class TestKernelNumeric:
         want = energy_parametric(P03, spec, sol.xi_p).interaction
         assert got == pytest.approx(want, rel=1e-7)
 
-    def test_equal_powers_interaction(self):
-        from harmonium import energy_parametric
-
-        spec = KernelSpec.equal_powers(0.6)
-        f = derive_frequencies(P03)
-        st = schmidt_state(f, 0.6, r=0.6)
-        got = kernel_interaction_numeric(P03, spec, st, check=False)
-        want = energy_parametric(P03, spec, f.xi).interaction
-        assert got == pytest.approx(want, rel=1e-7)
-
     def test_mass_sum_one(self):
         f = derive_frequencies(P03)
         st = schmidt_state(f, 0.5)
@@ -212,12 +202,6 @@ class TestKernelNumeric:
             kernel_interaction_numeric(P03, spec, st, check=False)
         with pytest.raises(DomainError, match="differ"):
             kernel_integral_numeric(P03, spec, st)
-
-    def test_mass_equal_powers(self):
-        f = derive_frequencies(P03)
-        st = schmidt_state(f, 0.6, r=0.6)
-        got = kernel_integral_numeric(P03, KernelSpec.equal_powers(0.6), st)
-        assert got == pytest.approx(2.0 - ref.KERNEL_NORM_EQ_Q06_03, abs=1e-9)
 
 
 class TestBruteForce:
@@ -254,6 +238,12 @@ class TestVerification:
             "kernel_mass", "scan_vs_root",
         ):
             assert fragment in names
+
+    def test_kernel_mass_reference_is_one(self, default_report):
+        # under r = 1 - q the gamma^q gamma^r mass is exactly 1, so the kernel integrates to 1
+        masses = [c for c in default_report if c["check"].startswith("kernel_mass[")]
+        assert len(masses) == 4
+        assert all(c["reference"] == 1.0 for c in masses)
 
     def test_entry_schema(self, default_report):
         for c in default_report:

@@ -18,9 +18,8 @@ EXPORTS = frozenset({
     "density_from_spectrum", "hermite_basis", "hermite_orbital",
     "occupation_spectrum", "omega_p_from_constraint", "one_matrix",
     "parametric_state", "schmidt_state", "truncation_order",
-    "XI_P_MAX", "KernelFamily", "KernelSpec", "energy_parametric",
-    "interaction_bracket", "interaction_bracket_equal_powers", "kernel_eval",
-    "kernel_normalization", "kinetic_parametric",
+    "XI_P_MAX", "KernelSpec", "energy_parametric", "interaction_bracket",
+    "kernel_eval", "kinetic_parametric",
     "Q_MAX", "Q_MIN", "BatchSolution", "StationaritySolution", "SweepRecord",
     "EntropyComparison", "entropy_comparison", "find_crossing",
     "scaling_exponent", "solve_batch", "solve_xi_p", "stationarity_lhs",

@@ -182,7 +182,6 @@ class TestDensityConstraint:
 class TestParametricState:
     def test_constraint_built_in(self):
         st_ = parametric_state(F03.omega_s, 0.4, 0.25)
-        assert st_.r == pytest.approx(0.6, rel=1e-15)
         assert st_.omega_p == pytest.approx(F03.omega_s * 1.25 / 0.75, rel=1e-15)
 
     def test_schmidt_state_is_the_exact_point(self):
@@ -194,9 +193,11 @@ class TestParametricState:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            ParametricState(q=0.5, r=0.5, xi_p=1.0, omega_p=1.0)
+            ParametricState(q=0.5, xi_p=1.0, omega_p=1.0)
         with pytest.raises(DomainError):
-            ParametricState(q=0.0, r=0.5, xi_p=0.1, omega_p=1.0)
+            ParametricState(q=0.0, xi_p=0.1, omega_p=1.0)
+        with pytest.raises(DomainError):
+            ParametricState(q=1.0, xi_p=0.1, omega_p=1.0)
         with pytest.raises(DomainError):
             omega_p_from_constraint(0.0, 0.1)
         with pytest.raises(DomainError):

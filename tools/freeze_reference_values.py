@@ -74,13 +74,6 @@ def bracket_sum_one(q, xi):
     return 2 - (1 - xi**q) * (1 - xi ** (1 - q)) / (1 + xi)
 
 
-def bracket_equal(q, r, xi):
-    s = q + r
-    return 2 - (1 - xi**q) * (1 - xi**r) * (1 - xi) ** (s + 1) / (
-        (1 + xi) * (1 - xi**s) ** 2
-    )
-
-
 def gamma_closed(lam, x, xp, omega0=mp.mpf(1)):
     """Contraction integral of the pair amplitude, done analytically."""
     omega1, omega2, _, _, _ = freqs(lam, omega0)
@@ -123,8 +116,6 @@ emit("PSI_03_AT", (omega1 * omega2 / mp.pi**2) ** mp.mpf("0.25") * mp.exp(
     - mp.mpf("0.3") * mp.mpf("-0.2") * (omega1 - omega2) / 2))
 emit("RHS_03", stationarity_rhs(lam3))
 emit("BRACKET_Q05_03", bracket_sum_one(mp.mpf("0.5"), xi3))
-emit("BRACKET_EQ_Q06_03", bracket_equal(mp.mpf("0.6"), mp.mpf("0.6"), xi3))
-emit("KERNEL_NORM_EQ_Q06_03", (1 - xi3) ** mp.mpf("1.2") / (1 - xi3 ** mp.mpf("1.2")))
 emit("PURITY_03", (1 - xi3) / (1 + xi3))
 emit("LINEAR_ENTROPY_03", 2 * xi3 / (1 + xi3))
 emit("QP_WEIGHT_03", (1 - xi3) ** 2)
