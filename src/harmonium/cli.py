@@ -44,6 +44,8 @@ _DEFAULTS = {
     "format": "csv",
 }
 
+_FORMATS = ("csv", "json")
+
 _FIGURE1_HEADER = ["lambda", "xi", "xi_p_q04", "R_q04", "xi_p_q03", "R_q03"]
 
 _HF_NOTE = (
@@ -93,13 +95,19 @@ def _read_config(path: str) -> dict:
     return values
 
 
+def _format_name(text: str) -> str:
+    if text not in _FORMATS:
+        raise ValueError(text)
+    return text
+
+
 #: Config key -> (namespace attribute, converter, what the value must be).
 _CONFIG_KEYS = {
     "omega0": ("omega0", float, "float"),
     "lambda": ("coupling", float, "float"),
     "lambda-grid": ("lambda_grid", str, "str"),
     "q": ("q", lambda text: [float(tok) for tok in text.replace(",", " ").split()], "float list"),
-    "format": ("format", str, "str"),
+    "format": ("format", _format_name, "format (csv or json)"),
     "out": ("out", str, "str"),
 }
 
@@ -342,7 +350,7 @@ _FLAGS = {
     "--lambda-grid": dict(dest="lambda_grid", metavar="START:STOP:COUNT[:log]",
                           help="coupling grid specification"),
     "--q": dict(action="append", type=float, help="kernel exponent; repeat for several"),
-    "--format": dict(choices=("csv", "json"), help="output format (default csv)"),
+    "--format": dict(choices=_FORMATS, help="output format (default csv)"),
     "--tamper": dict(action="store_true", help=argparse.SUPPRESS),
     "--out": dict(help="output path (default stdout); written atomically"),
     "--config": dict(help="key=value file supplying defaults for this subcommand's flags"),
@@ -371,13 +379,17 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (help_text, flags) in _SUBCOMMANDS.items():
         # no prefix matching: on figure1, --lambda would otherwise mean --lambda-grid
         command = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        command.set_defaults(command_parser=command)
         for flag in ("--omega0", *flags, "--out", "--config"):
             command.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, extras = _build_parser().parse_known_args(argv)
+    if extras:
+        # reported by the subcommand, so that the usage line lists the flags it takes
+        args.command_parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         _merge_config(args)
         # looked up at call time, so that a wrapped or patched cmd_* is the one that runs

@@ -15,8 +15,11 @@ mapping, the cross term exp(-b t1 t2) converges geometrically with ratio
 (b/2)^2 where b = (omega1 - omega2)/a < 2.  The ratio approaches 1 as
 omega2 -> 0, which is why the oracle window stops at coupling = 0.45.
 
-All reductions use compensated summation (math.fsum) so results are
-deterministic and independent of evaluation order.
+Every quadrature sum is exact before its one rounding (`_fsum`, bit for
+bit math.fsum's, with integer bins per power of two in numpy), so results
+are deterministic and independent of evaluation order.  The sum is kept
+here rather than shared, which keeps the oracle independent of the layers
+it checks.
 """
 
 from __future__ import annotations
@@ -76,6 +79,8 @@ _GAUSS_HERMITE_N_MAX = 370  # hermgauss weights are all 0 at 371 nodes, inf/NaN 
 #: Points of the brute-force energy scan, and the bracket width at which its polish stops.
 _SCAN_POINTS = 4096
 _SCAN_XTOL = 1e-10
+#: Relative band above the lowest vectorised scan energy that is rescored on the scalar path.
+_SCAN_RESCORE = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,8 +131,44 @@ def _doubled(rule: QuadratureRule) -> QuadratureRule:
     return gauss_hermite_rule(2 * rule.count, rule.scale)
 
 
+#: Every finite double is k * 2**(e - 53) with frexp's exponent e in [-1073, 1024]
+#: and an integer |k| < 2**53; bin e + 1073 takes the low 26 bits of k, bin
+#: e + 1073 + 26 the rest, and bin b is worth 2**(b - _FSUM_SHIFT).
+_FSUM_EXP_OFFSET = 1073
+_FSUM_SHIFT = _FSUM_EXP_OFFSET + 53
+_FSUM_BINS = _FSUM_EXP_OFFSET + 1024 + 1 + 26
+#: Shorter arrays go to math.fsum, which is faster there.
+_FSUM_CHUNK = 4096
+#: Each bin adds up integers below 2**27 and stays exact below 2**53.
+_FSUM_MAX_TERMS = 1 << 25
+#: While the absolute values sum below this, no partial of math.fsum overflows.
+_FSUM_SAFE_MASS = 2.0 ** 1022
+
+
 def _fsum(values: np.ndarray) -> float:
-    return math.fsum(np.asarray(values, dtype=float).ravel())
+    """Correctly rounded sum, bit for bit math.fsum's, chunk by chunk in numpy.
+
+    The halves of every k are added up exactly in float bins, one per power
+    of two; a Python integer then holds the exact sum and int true division
+    rounds it once.  Arrays shorter than one chunk or of 2**25 terms or
+    more, non-finite values, sums that could overflow and an exact zero
+    (whose sign is math.fsum's to choose) go to math.fsum.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    if not (_FSUM_CHUNK <= x.size < _FSUM_MAX_TERMS
+            and float(max(x.max(), -x.min())) * x.size < _FSUM_SAFE_MASS):
+        return math.fsum(x)
+    bins = np.zeros(_FSUM_BINS)
+    for start in range(0, x.size, _FSUM_CHUNK):
+        m, e = np.frexp(x[start:start + _FSUM_CHUNK])
+        k = np.ldexp(m, 53)
+        high = np.trunc(np.ldexp(k, -26))
+        e += _FSUM_EXP_OFFSET
+        bins += np.bincount(e, k - np.ldexp(high, 26), _FSUM_BINS)
+        bins += np.bincount(e + 26, high, _FSUM_BINS)
+    used = np.flatnonzero(bins)
+    total = sum(int(v) << b for b, v in zip(used.tolist(), bins[used].tolist()))
+    return total / (1 << _FSUM_SHIFT) if total else math.fsum(x)
 
 
 def quad_1d(rule: QuadratureRule, values: np.ndarray) -> float:
@@ -356,21 +397,42 @@ def _golden_section(f, a, b):
     return (c, fc) if fc < fd else (d, fd)
 
 
+def _scan_energies(params: ModelParams, spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
+    """`energy_parametric(params, spec, x).total` at every x of xs in one numpy pass.
+
+    The closed form T_p + confinement + W_p of `mueller`, term by term and
+    operation by operation as `energy_parametric` forms it; only numpy's
+    pow may differ from libm's, by an ulp.
+    """
+    f = derive_frequencies(params)
+    q = spec.q
+    kinetic = 0.5 * f.omega_s * ((1.0 + xs) / (1.0 - xs)) ** 2
+    external = params.omega0 ** 2 / (2.0 * f.omega_s)
+    bracket = 2.0 - (1.0 - xs ** q) * (1.0 - xs ** (1.0 - q)) / (1.0 + xs)
+    interaction = -0.5 * params.coupling * params.omega0 ** 2 / f.omega_s * bracket
+    return kinetic + external + interaction
+
+
 def brute_force_minimize(params: ModelParams, spec: KernelSpec) -> tuple[float, float]:
     """Minimize the parametric energy by dense scan plus golden-section polish.
 
-    Scans 4096 points of [0, 0.999] and polishes the best one's neighbours
-    to a 1e-10 bracket.  Knows nothing about stationarity conditions or
-    bracketing; serves as the independent route to the variational minimum.
-    Returns (xi_p, energy).
+    Scores 4096 points of [0, 0.999] in one numpy pass (`_scan_energies`)
+    and rescores those within 1e-12 relative of the lowest on the scalar
+    `energy_parametric`, so that an ulp of pow cannot move the pick off the
+    scalar scan's.  The pick's neighbours are then polished on
+    `energy_parametric` to a 1e-10 bracket.  Knows nothing about
+    stationarity conditions or bracketing; serves as the independent route
+    to the variational minimum.  Returns (xi_p, energy).
     """
     xs = np.linspace(0.0, 0.999, _SCAN_POINTS)
 
     def objective(x: float) -> float:
         return energy_parametric(params, spec, float(x)).total
 
-    energies = np.array([objective(x) for x in xs])
-    i = int(np.argmin(energies))
+    energies = _scan_energies(params, spec, xs)
+    lowest = energies.min()
+    near = np.flatnonzero(energies <= lowest + _SCAN_RESCORE * abs(lowest))
+    i = int(min(near, key=lambda j: objective(xs[j])))
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, _SCAN_POINTS - 1)]
     x_min, e_min = _golden_section(objective, float(lo), float(hi))

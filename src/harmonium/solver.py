@@ -123,7 +123,7 @@ def _check_q(q: float):
 def stationarity_lhs(q: float, xi_p):
     """Left side of the optimality condition; accepts scalar or array xi_p.
 
-    Defined on the open interval (0, 1); vanishes like xi_p^min(q, 1-q) as
+    Defined on the open interval (0, 1); vanishes like xi_p^max(q, 1-q) as
     xi_p -> 0 and diverges at the upper end.
     """
     if not (0.0 < q < 1.0):

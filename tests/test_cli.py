@@ -69,7 +69,11 @@ class TestParser:
                                                            command, flag, value):
         with pytest.raises(SystemExit) as exc:
             main([command, flag, value])
-        assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "unrecognized arguments" in err
+        # the subcommand's own usage line, which lists the flags it does take
+        assert err.startswith(f"usage: harmonium {command} ")
+        assert f"harmonium {command}: error: unrecognized arguments: {flag} {value}" in err
         key = flag[2:]
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key}={value}\n")
@@ -282,6 +286,15 @@ class TestConfig:
         code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--lambda", "0.3")
         assert code == 0
         assert len(out.splitlines()) == 3
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "figure1"])
+    def test_format_outside_the_choices_is_usage_error(self, capsys, tmp_path, command):
+        # the config value is held to the same choices as the --format flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("error: config value for format") and "'xml'" in err
 
     def test_unknown_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,7 +1,11 @@
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_values as ref
 from harmonium import (
@@ -26,7 +30,18 @@ from harmonium import (
     solve_xi_p,
     spectral_kinetic_sum,
 )
-from harmonium.oracle import quad_1d, quad_2d, reference_basis
+from harmonium.mueller import energy_parametric
+from harmonium.oracle import (
+    _FSUM_CHUNK,
+    _SCAN_POINTS,
+    _SCAN_RESCORE,
+    _fsum,
+    _golden_section,
+    _scan_energies,
+    quad_1d,
+    quad_2d,
+    reference_basis,
+)
 from harmonium.spectral import hermite_basis
 
 P03 = ModelParams(coupling=0.3)
@@ -217,6 +232,114 @@ class TestBruteForce:
             assert xi == pytest.approx(root, abs=1e-6)
         xi, e = brute_force_minimize(P03, KernelSpec.sum_one(0.5))
         assert e == pytest.approx(ref.E_TOTAL_03, rel=1e-10)
+
+
+def _outcome(fn, values):
+    """A sum's bits, or the type and text of the exception it raised."""
+    try:
+        return struct.pack("<d", fn(values))
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_TINY = 2.2250738585072014e-308  # smallest normal double; below it are the subnormals
+_HUGE = 1.7976931348623157e308
+_PIECES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-_TINY, _TINY),
+    st.floats(1e-300, 1e300).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(1e307, _HUGE).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+
+
+class TestFsum:
+    """`_fsum` is math.fsum, bit for bit, on arrays long enough for the numpy path."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pieces=st.lists(st.lists(_PIECES, min_size=1, max_size=12), min_size=1, max_size=4),
+           length=st.integers(_FSUM_CHUNK, 3 * _FSUM_CHUNK), cancel=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_math_fsum(self, pieces, length, cancel, seed):
+        # each piece is tiled over a stretch of the array, so that one family
+        # of magnitudes or specials fills whole chunks and mixes with the next
+        x = np.concatenate([np.resize(np.array(p), length // len(pieces)) for p in pieces])
+        planted = np.concatenate([x, -x[: int(cancel * x.size)]])
+        np.random.default_rng(seed).shuffle(planted)
+        for values in (x, planted):
+            assert _outcome(_fsum, values) == _outcome(math.fsum, values)
+
+    def test_edge_cases(self):
+        n = _FSUM_CHUNK + 7
+        rng = np.random.default_rng(5)
+        cases = [
+            np.array([]),
+            np.full(n, -0.0),
+            np.full(n, 5e-324),
+            np.resize([_HUGE, -_HUGE], n),
+            np.resize([_HUGE, _HUGE, -_HUGE], n),
+            np.resize([_HUGE / 2, _HUGE / 4], n),
+            np.resize([1.0, math.inf], n),
+            np.resize([math.inf, -math.inf], n),
+            np.resize([math.nan, 1.0], n),
+            rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+            np.concatenate([rng.standard_normal(3 * n), [1e-300]]),
+        ]
+        for values in cases:
+            for shape in (values, values[:_FSUM_CHUNK - 1]):
+                assert _outcome(_fsum, shape) == _outcome(math.fsum, shape)
+
+    def test_long_finite_arrays_stay_in_numpy(self, monkeypatch):
+        x = np.random.default_rng(3).standard_normal(3 * _FSUM_CHUNK + 1)
+        expected = math.fsum(x)
+
+        def refuse(values):
+            raise AssertionError("math.fsum called")
+
+        monkeypatch.setattr(math, "fsum", refuse)
+        assert _fsum(x) == expected
+
+
+def _scalar_scan(params, spec):
+    """The scan as one energy_parametric call per grid point, and its polish."""
+    def objective(x):
+        return energy_parametric(params, spec, float(x)).total
+
+    xs = np.linspace(0.0, 0.999, _SCAN_POINTS)
+    energies = np.array([objective(x) for x in xs])
+    i = int(np.argmin(energies))
+    lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, _SCAN_POINTS - 1)]
+    x_min, e_min = _golden_section(objective, float(lo), float(hi))
+    return xs, energies, (float(x_min), float(e_min))
+
+
+class TestScanMatchesScalarScan:
+    PAIRS = [(random.Random(n).uniform(1e-6, 0.45), random.Random(-n).uniform(0.05, 0.95))
+             for n in range(20)]
+
+    @pytest.mark.parametrize("lam, q", PAIRS)
+    def test_same_pick_and_result(self, lam, q):
+        params, spec = ModelParams(coupling=lam), KernelSpec.sum_one(q)
+        xs, scalar, expected = _scalar_scan(params, spec)
+        vector = _scan_energies(params, spec, xs)
+        # the vectorised energies sit far inside the band that is rescored on the scalar path
+        assert np.max(np.abs(vector - scalar) / np.abs(scalar)) < 1e-3 * _SCAN_RESCORE
+        assert int(np.argmin(vector)) == int(np.argmin(scalar))
+        assert brute_force_minimize(params, spec) == expected
+
+    # couplings at which the two lowest grid energies tie to an ulp, found by
+    # bisecting on their difference; an ulp of numpy's pow can reorder such a
+    # tie, and only the rescoring on the scalar path keeps the scalar pick
+    @pytest.mark.parametrize("lam, q", [
+        (0.34625536404552876, 0.2346947283003133),
+        (0.2086715972653523, 0.8981112472170061),
+        (0.32240660835552526, 0.6199120159998797),
+        (0.43099790260477766, 0.7552592765687629),
+    ])
+    def test_near_ties_keep_the_scalar_pick(self, lam, q):
+        params, spec = ModelParams(coupling=lam), KernelSpec.sum_one(q)
+        assert brute_force_minimize(params, spec) == _scalar_scan(params, spec)[2]
 
 
 @pytest.fixture(scope="module")

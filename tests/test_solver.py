@@ -70,6 +70,14 @@ class TestStationarityPieces:
             ) / math.log(100.0)
             assert slope == pytest.approx(expo, abs=0.01)
 
+    @pytest.mark.parametrize("q", [0.3, 0.45, 0.6, 0.7])
+    def test_lhs_vanishes_like_the_larger_power(self, q):
+        # the log-slope deep in the small-xi tail is max(q, 1 - q), not min(q, 1 - q)
+        slope = math.log(
+            stationarity_lhs(q, 1e-190) / stationarity_lhs(q, 1e-200)
+        ) / math.log(1e10)
+        assert slope == pytest.approx(max(q, 1.0 - q), abs=1e-3)
+
     def test_lhs_monotone_on_scan_window(self):
         xi = np.geomspace(1e-12, 1.0 - 1e-9, 500)
         for q in (0.3, 0.5, 0.7):
