@@ -14,7 +14,8 @@ The quadratic interaction is repulsive for coupling > 0.  Normal modes
 
 so a bound ground state exists only for coupling < 1/2; at the boundary the
 relative mode becomes free and the pair dissociates.  Everything in this
-module is an explicit function of (omega1, omega2):
+module is an explicit function of (omega1, omega2), evaluated at every
+coupling that `ModelParams` accepts, attractive (coupling < 0) included:
 
     psi(x1, x2) = (omega1*omega2/pi^2)^(1/4)
                   * exp(-(x1^2 + x2^2)(omega1 + omega2)/4)
@@ -148,15 +149,7 @@ def derive_frequencies(params: ModelParams) -> DerivedFrequencies:
     return DerivedFrequencies(omega1, omega2, omega_s, omega_bar, z, xi)
 
 
-def _require_repulsive(params: ModelParams, allow_attractive: bool, what: str):
-    if params.coupling < 0.0 and not allow_attractive:
-        raise DomainError(
-            f"{what} is only validated for coupling >= 0; "
-            "pass allow_attractive=True to evaluate the attractive branch"
-        )
-
-
-def exact_energy(params: ModelParams, allow_attractive: bool = False) -> EnergyBreakdown:
+def exact_energy(params: ModelParams) -> EnergyBreakdown:
     """Ground-state energy split as kinetic + confinement + interaction.
 
     The three terms are
@@ -167,7 +160,6 @@ def exact_energy(params: ModelParams, allow_attractive: bool = False) -> EnergyB
 
     and their sum collapses to (omega1 + omega2)/2.
     """
-    _require_repulsive(params, allow_attractive, "exact_energy")
     f = derive_frequencies(params)
     kinetic = 0.25 * (f.omega1 + f.omega2)
     external = params.omega0 ** 2 / (2.0 * f.omega_s)
@@ -223,7 +215,7 @@ def effective_potential(params: ModelParams, x):
     return (float(v) if v.ndim == 0 else v), mu
 
 
-def hartree_fock(params: ModelParams, allow_attractive: bool = False):
+def hartree_fock(params: ModelParams):
     """Best single-Gaussian (mean-field) energy and its orbital frequency.
 
     Minimizes omega/2 + (1 - coupling)*omega0^2/(2*omega) over the orbital
@@ -234,7 +226,6 @@ def hartree_fock(params: ModelParams, allow_attractive: bool = False):
     Returns (omega_hf, EnergyBreakdown).  The mean-field total is an upper
     bound on the exact energy, with equality only at coupling = 0.
     """
-    _require_repulsive(params, allow_attractive, "hartree_fock")
     omega_hf = params.omega0 * math.sqrt(1.0 - params.coupling)
     kinetic = 0.5 * omega_hf
     external = params.omega0 ** 2 / (2.0 * omega_hf)

@@ -20,7 +20,9 @@ term of the energy is closed-form in (xi_p, q):
     bracket = 2 - (1-xi_p^q)(1-xi_p^(1-q)) / (1+xi_p)
 
 At q = 1/2 and xi_p = xi(coupling) the energy reproduces the exact ground
-state exactly, term by term.
+state exactly, term by term.  This module holds the closed forms alone; the
+kernel itself is evaluated pointwise only by the quadrature oracle (module
+`oracle`), which integrates it as the independent check of W_p.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .model import LAMBDA_MAX, EnergyBreakdown, ModelParams, density, derive_frequencies
-from .spectral import ParametricState, _check_xi, occupation_spectrum, one_matrix
+from .model import LAMBDA_MAX, EnergyBreakdown, ModelParams, derive_frequencies
+from .spectral import _check_xi
 
 __all__ = [
     "XI_P_MAX",
@@ -37,7 +39,6 @@ __all__ = [
     "interaction_bracket",
     "kinetic_parametric",
     "energy_parametric",
-    "kernel_eval",
 ]
 
 #: Energies diverge as xi_p -> 1; evaluations this close to the pole are
@@ -106,24 +107,3 @@ def energy_parametric(params: ModelParams, spec: KernelSpec, xi_p: float) -> Ene
     bracket = interaction_bracket(spec.q, xi_p)
     interaction = -0.5 * params.coupling * params.omega0 ** 2 / f.omega_s * bracket
     return EnergyBreakdown.from_terms(kinetic, external, interaction)
-
-
-def _check_state_matches(spec: KernelSpec, state: ParametricState):
-    if state.q != spec.q:
-        raise DomainError(f"state power q={state.q} and the kernel's q={spec.q} differ")
-
-
-def kernel_eval(spec: KernelSpec, params: ModelParams, state: ParametricState, x1, x2):
-    """Pointwise pair kernel 2 n1(x1) n1(x2) - gamma_p^q gamma_p^(1-q).
-
-    n1 is the exact Gaussian density; the gamma_p factors are spectral
-    series at (state.xi_p, state.omega_p) at the default truncation of
-    `occupation_spectrum`.  The state's q must be the kernel's; otherwise
-    DomainError.
-    """
-    _check_state_matches(spec, state)
-    spectrum = occupation_spectrum(state.xi_p)
-    direct = 2.0 * density(params, x1) * density(params, x2)
-    gq = one_matrix(spectrum, state.omega_p, spec.q, x1, x2)
-    gr = one_matrix(spectrum, state.omega_p, spec.r, x1, x2)
-    return direct - gq * gr

@@ -41,12 +41,7 @@ from .model import (
     exact_energy,
     wavefunction,
 )
-from .mueller import (
-    KernelSpec,
-    _check_state_matches,
-    energy_parametric,
-    kinetic_parametric,
-)
+from .mueller import KernelSpec, energy_parametric, kinetic_parametric
 from .solver import solve_xi_p
 from .spectral import (
     OccupationSpectrum,
@@ -157,7 +152,7 @@ def _fsum(values: np.ndarray) -> float:
     x = np.asarray(values, dtype=float).ravel()
     if not (_FSUM_CHUNK <= x.size < _FSUM_MAX_TERMS
             and float(max(x.max(), -x.min())) * x.size < _FSUM_SAFE_MASS):
-        return math.fsum(x)
+        return math.fsum(x.tolist())
     bins = np.zeros(_FSUM_BINS)
     for start in range(0, x.size, _FSUM_CHUNK):
         m, e = np.frexp(x[start:start + _FSUM_CHUNK])
@@ -168,7 +163,7 @@ def _fsum(values: np.ndarray) -> float:
         bins += np.bincount(e + 26, high, _FSUM_BINS)
     used = np.flatnonzero(bins)
     total = sum(int(v) << b for b, v in zip(used.tolist(), bins[used].tolist()))
-    return total / (1 << _FSUM_SHIFT) if total else math.fsum(x)
+    return total / (1 << _FSUM_SHIFT) if total else math.fsum(x.tolist())
 
 
 def quad_1d(rule: QuadratureRule, values: np.ndarray) -> float:
@@ -183,9 +178,9 @@ def quad_2d(rule: QuadratureRule, values: np.ndarray) -> float:
 
 
 def _check_oracle_window(params: ModelParams):
-    if params.coupling > ORACLE_LAMBDA_MAX:
+    if not 0.0 <= params.coupling <= ORACLE_LAMBDA_MAX:
         raise DomainError(
-            f"quadrature oracle is validated for coupling <= {ORACLE_LAMBDA_MAX}, "
+            f"quadrature oracle is validated for coupling in [0, {ORACLE_LAMBDA_MAX}], "
             f"got {params.coupling}"
         )
 
@@ -313,6 +308,11 @@ def _reference_power_matrix(
     return np.einsum("ng,n,nh->gh", basis, w, basis)
 
 
+def _check_state_matches(spec: KernelSpec, state: ParametricState):
+    if state.q != spec.q:
+        raise DomainError(f"state power q={state.q} and the kernel's q={spec.q} differ")
+
+
 def _kernel_on_grid(
     params: ModelParams, spec: KernelSpec, state: ParametricState, rule: QuadratureRule
 ) -> np.ndarray:
@@ -335,8 +335,8 @@ def kernel_interaction_numeric(
 
     Integrates K_p(x1, x2) * (-coupling * omega0^2 (x1-x2)^2 / 2) on a
     tensor grid; the default per-axis scale omega_s matches the slowest
-    factor (the direct density term).  The state's q must be the kernel's,
-    as in `kernel_eval`; otherwise DomainError.
+    factor (the direct density term).  The state's q must be the kernel's;
+    otherwise DomainError.
     """
     _check_oracle_window(params)
     f = derive_frequencies(params)
@@ -466,7 +466,8 @@ def run_verification(
     orbital-resolved kinetic sum, kernel mass and interaction integrals,
     root-versus-scan minima, and node-doubling stability.  Interaction
     comparisons run at 1e-7 relative, loosened to 1e-6 for couplings at or
-    beyond 0.449 where the quadrature ratio degrades.
+    beyond 0.449 where the quadrature ratio degrades.  A coupling outside
+    [0, ORACLE_LAMBDA_MAX] raises DomainError before its quadrature runs.
 
     tamper=True skews the closed-form references by 2e-4 and is only there
     to prove the harness can fail (negative control).
@@ -475,6 +476,7 @@ def run_verification(
     checks: list[dict] = []
     for lam in lambdas:
         params = ModelParams(omega0=omega0, coupling=float(lam))
+        _check_oracle_window(params)
         f = derive_frequencies(params)
         tag = f"lam={lam:g}"
         psi_rule = gauss_hermite_rule(96, 0.5 * (f.omega1 + f.omega2))

@@ -14,6 +14,9 @@ pick any xi_p in [0, 1) and carry the orbitals at the frequency
 
 which pins the density width to the exact omega_s at every xi_p.  At
 xi_p = xi this reproduces gamma exactly (then omega_p = omega_bar).
+`parametric_state` builds that point of the family; `one_matrix` sums the
+series pointwise (its diagonal at power 1 is the density), and
+`hermite_basis` supplies the orbitals.
 
 Series are truncated once the geometric tail xi^N drops below a tolerance;
 N is clamped to [16, 512].
@@ -35,13 +38,9 @@ __all__ = [
     "ParametricState",
     "occupation_spectrum",
     "truncation_order",
-    "hermite_orbital",
     "hermite_basis",
     "one_matrix",
-    "density_from_spectrum",
-    "omega_p_from_constraint",
     "parametric_state",
-    "schmidt_state",
 ]
 
 TRUNCATION_MIN = 16
@@ -100,17 +99,6 @@ def occupation_spectrum(xi: float, tol: float = 1e-14) -> OccupationSpectrum:
     return OccupationSpectrum(xi=xi, weights=weights, truncation=n, tail_mass=tail)
 
 
-def hermite_orbital(n: int, omega: float, x):
-    """Orthonormal oscillator eigenfunction phi_n(x) at frequency omega.
-
-    Row n of `hermite_basis`; a float when x is a scalar.
-    """
-    if n < 0 or n != int(n):
-        raise DomainError(f"orbital index must be a nonnegative integer, got {n}")
-    out = hermite_basis(int(n) + 1, omega, x)[int(n)]
-    return float(out) if out.ndim == 0 else out
-
-
 def hermite_basis(n_max: int, omega: float, x) -> np.ndarray:
     """Stack phi_0 .. phi_{n_max-1} at frequency omega; shape (n_max,) + x.shape.
 
@@ -155,22 +143,6 @@ def one_matrix(spectrum: OccupationSpectrum, omega: float, power: float, x, xp):
     return float(out) if out.ndim == 0 else out
 
 
-def density_from_spectrum(spectrum: OccupationSpectrum, omega: float, x):
-    """Diagonal sum_n P_n phi_n(x)^2 of the spectral one-matrix."""
-    x = np.asarray(x, dtype=float)
-    basis = hermite_basis(spectrum.truncation, omega, x)
-    out = np.einsum("n,n...->...", spectrum.weights, basis ** 2)
-    return float(out) if out.ndim == 0 else out
-
-
-def omega_p_from_constraint(omega_s: float, xi_p: float) -> float:
-    """Orbital frequency omega_s (1 + xi_p)/(1 - xi_p) fixing the density width."""
-    if not omega_s > 0.0:
-        raise DomainError(f"omega_s must be positive, got {omega_s}")
-    _check_xi(xi_p, "xi_p")
-    return omega_s * (1.0 + xi_p) / (1.0 - xi_p)
-
-
 @dataclass(frozen=True)
 class ParametricState:
     """A point of the model family: kernel power q (its partner is 1 - q) plus (xi_p, omega_p)."""
@@ -188,14 +160,11 @@ class ParametricState:
 
 
 def parametric_state(omega_s: float, q: float, xi_p: float) -> ParametricState:
-    """The state at kernel power q and xi_p, omega_p fixed by the density-width constraint."""
-    return ParametricState(q=q, xi_p=xi_p, omega_p=omega_p_from_constraint(omega_s, xi_p))
+    """The state at kernel power q and xi_p, with omega_p = omega_s (1 + xi_p)/(1 - xi_p).
 
-
-def schmidt_state(freqs, q: float) -> ParametricState:
-    """The exact point of the family at kernel power q: xi_p = xi, orbitals at omega_bar.
-
-    omega_bar coincides with omega_s (1 + xi)/(1 - xi), so this is
-    parametric_state evaluated at the exact correlation parameter.
+    At xi_p = xi this is the exact state: omega_p = omega_bar.
     """
-    return ParametricState(q=q, xi_p=freqs.xi, omega_p=freqs.omega_bar)
+    if not omega_s > 0.0:
+        raise DomainError(f"omega_s must be positive, got {omega_s}")
+    _check_xi(xi_p, "xi_p")
+    return ParametricState(q=q, xi_p=xi_p, omega_p=omega_s * (1.0 + xi_p) / (1.0 - xi_p))

@@ -9,6 +9,7 @@ import pytest
 
 import reference_values as ref
 from harmonium import cli
+from harmonium import oracle as orc
 from harmonium.cli import main
 from harmonium.errors import BracketError
 
@@ -338,6 +339,19 @@ class TestVerify:
         assert code == 1
         checks = json.loads(out)
         assert any(not c["pass"] for c in checks)
+
+    @pytest.mark.parametrize("coupling", ["-0.1", "0.46"])
+    def test_coupling_outside_the_oracle_window(self, capsys, monkeypatch, coupling):
+        # refused with one error line before any quadrature rule is built
+        def no_quadrature(*a, **k):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(orc, "gauss_hermite_rule", no_quadrature)
+        code, out, err = run_cli(capsys, "verify", "--lambda", coupling)
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: quadrature oracle is validated for coupling in [0, 0.45], got {coupling}\n"
+        )
 
 
 class TestReport:

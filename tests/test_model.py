@@ -106,11 +106,9 @@ class TestExactEnergy:
         assert e.total == pytest.approx(3.0, rel=1e-15)
         assert e.interaction == 0.0
 
-    def test_attractive_needs_opt_in(self):
+    def test_attractive_branch(self):
         p = ModelParams(coupling=-0.2)
-        with pytest.raises(DomainError, match="allow_attractive"):
-            exact_energy(p)
-        e = exact_energy(p, allow_attractive=True)
+        e = exact_energy(p)
         f = derive_frequencies(p)
         assert e.total == pytest.approx(0.5 * (f.omega1 + f.omega2), rel=1e-13)
 
@@ -210,10 +208,8 @@ class TestHartreeFock:
         assert omega == pytest.approx(1.3, rel=1e-14)
         assert e.total == pytest.approx(exact_energy(p).total, rel=1e-13)
 
-    def test_attractive_needs_opt_in(self):
-        with pytest.raises(DomainError):
-            hartree_fock(ModelParams(coupling=-0.4))
-        omega, _ = hartree_fock(ModelParams(coupling=-0.4), allow_attractive=True)
+    def test_attractive_branch(self):
+        omega, _ = hartree_fock(ModelParams(coupling=-0.4))
         assert omega == pytest.approx(math.sqrt(1.4), rel=1e-12)
 
     @settings(max_examples=100, deadline=None)

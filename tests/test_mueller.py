@@ -11,12 +11,12 @@ from harmonium import (
     density,
     derive_frequencies,
     energy_parametric,
+    gauss_hermite_rule,
     interaction_bracket,
-    kernel_eval,
     kinetic_parametric,
     parametric_state,
-    schmidt_state,
 )
+from harmonium.oracle import _kernel_on_grid
 
 P03 = ModelParams(coupling=0.3)
 F03 = derive_frequencies(P03)
@@ -164,21 +164,18 @@ class TestEnergyParametric:
 
 
 class TestKernelEval:
+    """The pair kernel K_p, as the oracle evaluates it on a rule's tensor grid."""
+
     def test_uncorrelated_kernel_is_the_density_product(self):
         # at xi_p = 0 the gamma^q gamma^r factor collapses onto n1(x1) n1(x2)
         state = parametric_state(F03.omega_s, 0.5, 0.0)
-        x = np.linspace(-2, 2, 7)
-        kern = kernel_eval(KernelSpec.sum_one(0.5), P03, state, x[:, None], x[None, :])
-        direct = density(P03, x)[:, None] * density(P03, x)[None, :]
-        assert np.max(np.abs(kern - direct)) < 1e-12
+        rule = gauss_hermite_rule(7, F03.omega_s)
+        kern = _kernel_on_grid(P03, KernelSpec.sum_one(0.5), state, rule)
+        n1 = density(P03, rule.nodes)
+        assert np.max(np.abs(kern - np.outer(n1, n1))) < 1e-12
 
     def test_symmetry(self):
-        state = schmidt_state(F03, 0.4)
-        spec = KernelSpec.sum_one(0.4)
-        a = kernel_eval(spec, P03, state, 0.8, -0.3)
-        b = kernel_eval(spec, P03, state, -0.3, 0.8)
-        assert a == pytest.approx(b, rel=1e-12)
-
-    def test_scalar_output(self):
-        state = schmidt_state(F03, 0.5)
-        assert isinstance(kernel_eval(KernelSpec.sum_one(0.5), P03, state, 0.1, 0.2), float)
+        state = parametric_state(F03.omega_s, 0.4, F03.xi)
+        assert state.omega_p == pytest.approx(F03.omega_bar, rel=1e-13)
+        kern = _kernel_on_grid(P03, KernelSpec.sum_one(0.4), state, gauss_hermite_rule(8))
+        assert kern == pytest.approx(kern.T, rel=1e-12)

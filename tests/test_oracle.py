@@ -26,7 +26,6 @@ from harmonium import (
     one_matrix_numeric,
     parametric_state,
     run_verification,
-    schmidt_state,
     solve_xi_p,
     spectral_kinetic_sum,
 )
@@ -176,7 +175,8 @@ class TestKineticSum:
 
     def test_at_the_exact_state(self):
         f = derive_frequencies(P03)
-        st = schmidt_state(f, 0.5)
+        st = parametric_state(f.omega_s, 0.5, f.xi)
+        assert st.omega_p == pytest.approx(f.omega_bar, rel=1e-13)
         got = spectral_kinetic_sum(st.xi_p, st.omega_p)
         assert got == pytest.approx(kinetic_parametric(f.omega_s, f.xi), rel=1e-10)
 
@@ -184,7 +184,8 @@ class TestKineticSum:
 class TestKernelNumeric:
     def test_interaction_at_exact_state(self):
         f = derive_frequencies(P03)
-        st = schmidt_state(f, 0.5)
+        st = parametric_state(f.omega_s, 0.5, f.xi)
+        assert st.omega_p == pytest.approx(f.omega_bar, rel=1e-13)
         got = kernel_interaction_numeric(P03, KernelSpec.sum_one(0.5), st, check=False)
         assert got == pytest.approx(ref.E_INTERACTION_03, rel=1e-7)
 
@@ -201,18 +202,15 @@ class TestKernelNumeric:
 
     def test_mass_sum_one(self):
         f = derive_frequencies(P03)
-        st = schmidt_state(f, 0.5)
+        st = parametric_state(f.omega_s, 0.5, f.xi)
+        assert st.omega_p == pytest.approx(f.omega_bar, rel=1e-13)
         got = kernel_integral_numeric(P03, KernelSpec.sum_one(0.5), st)
         assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_state_and_spec_must_share_powers(self):
-        from harmonium import kernel_eval
-
         f = derive_frequencies(P03)
         spec = KernelSpec.sum_one(0.4)
         st = parametric_state(f.omega_s, 0.3, solve_xi_p(P03, 0.3).xi_p)
-        with pytest.raises(DomainError, match="differ"):
-            kernel_eval(spec, P03, st, 0.1, 0.2)
         with pytest.raises(DomainError, match="differ"):
             kernel_interaction_numeric(P03, spec, st, check=False)
         with pytest.raises(DomainError, match="differ"):

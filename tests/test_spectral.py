@@ -12,15 +12,11 @@ from harmonium import (
     ModelParams,
     ParametricState,
     density,
-    density_from_spectrum,
     derive_frequencies,
     hermite_basis,
-    hermite_orbital,
     occupation_spectrum,
-    omega_p_from_constraint,
     one_matrix,
     parametric_state,
-    schmidt_state,
     truncation_order,
 )
 
@@ -80,7 +76,7 @@ class TestHermite:
     def test_ground_state(self):
         x = np.linspace(-2, 2, 7)
         expect = (1.3 / math.pi) ** 0.25 * np.exp(-0.65 * x ** 2)
-        assert hermite_orbital(0, 1.3, x) == pytest.approx(expect, rel=1e-14)
+        assert hermite_basis(1, 1.3, x)[0] == pytest.approx(expect, rel=1e-14)
 
     def test_matches_explicit_normalization(self):
         # cross-check the recurrence against scipy's physicists' polynomials
@@ -91,7 +87,7 @@ class TestHermite:
         for n in (1, 2, 5, 9):
             norm = (omega / math.pi) ** 0.25 / math.sqrt(2.0 ** n * math.gamma(n + 1))
             expect = norm * eval_hermite(n, u) * np.exp(-0.5 * u ** 2)
-            assert hermite_orbital(n, omega, x) == pytest.approx(expect, rel=1e-12)
+            assert hermite_basis(n + 1, omega, x)[n] == pytest.approx(expect, rel=1e-12)
 
     def test_orthonormality(self):
         # Gauss-Hermite with weight lifted onto the integrand is exact here
@@ -103,20 +99,19 @@ class TestHermite:
         gram = np.einsum("g,ng,mg->nm", lifted, basis, basis)
         assert np.max(np.abs(gram - np.eye(13))) < 1e-12
 
-    def test_basis_rows_match_orbitals(self):
-        x = np.linspace(-1.5, 1.5, 5)
-        basis = hermite_basis(6, 0.7, x)
-        for n in range(6):
-            assert basis[n] == pytest.approx(hermite_orbital(n, 0.7, x), rel=1e-13, abs=1e-15)
-
     def test_scalar_input(self):
-        assert isinstance(hermite_orbital(3, 1.0, 0.5), float)
+        basis = hermite_basis(4, 1.0, 0.5)
+        assert basis.shape == (4,)
+        assert basis[3] == pytest.approx(
+            (1.0 / math.pi) ** 0.25 / math.sqrt(48.0) * eval_hermite(3, 0.5) * math.exp(-0.125),
+            rel=1e-13,
+        )
 
     def test_bad_args(self):
         with pytest.raises(DomainError):
-            hermite_orbital(-1, 1.0, 0.0)
+            hermite_basis(0, 1.0, 0.0)
         with pytest.raises(DomainError):
-            hermite_orbital(2, 0.0, 0.0)
+            hermite_basis(3, 0.0, 0.0)
 
 
 class TestOneMatrix:
@@ -136,18 +131,24 @@ class TestOneMatrix:
     def test_uncorrelated_rank_one(self):
         s = occupation_spectrum(0.0)
         x, xp = 0.4, -0.9
-        expect = hermite_orbital(0, 2.0, x) * hermite_orbital(0, 2.0, xp)
+        expect = hermite_basis(1, 2.0, x)[0] * hermite_basis(1, 2.0, xp)[0]
         assert one_matrix(s, 2.0, 1.0, x, xp) == pytest.approx(expect, rel=1e-14)
 
     def test_diagonal_is_density(self):
         s = occupation_spectrum(0.3)
         x = np.linspace(-2, 2, 9)
         diag = one_matrix(s, 1.4, 1.0, x, x)
-        assert diag == pytest.approx(density_from_spectrum(s, 1.4, x), rel=1e-13)
+        squares = np.einsum("n,nx->x", s.weights, hermite_basis(s.truncation, 1.4, x) ** 2)
+        assert diag == pytest.approx(squares, rel=1e-13)
 
     def test_bad_power(self):
         with pytest.raises(DomainError):
             one_matrix(occupation_spectrum(0.1), 1.0, 0.0, 0.0, 0.0)
+
+
+def _diagonal(xi_p: float, omega_p: float, x):
+    """The one-matrix diagonal sum_n P_n phi_n(x)^2 of the family member (xi_p, omega_p)."""
+    return one_matrix(occupation_spectrum(xi_p), omega_p, 1.0, x, x)
 
 
 class TestDensityConstraint:
@@ -157,25 +158,23 @@ class TestDensityConstraint:
         x = np.linspace(-3, 3, 31)
         exact = density(ModelParams(coupling=0.3), x)
         for xi_p in (0.0, 0.1, 0.6):
-            omega_p = omega_p_from_constraint(F03.omega_s, xi_p)
-            approx = density_from_spectrum(occupation_spectrum(xi_p), omega_p, x)
-            assert np.max(np.abs(approx - exact)) < 1e-8
+            omega_p = parametric_state(F03.omega_s, 0.5, xi_p).omega_p
+            assert np.max(np.abs(_diagonal(xi_p, omega_p, x) - exact)) < 1e-8
 
     def test_exact_point_reproduces_density(self):
         x = np.linspace(-3, 3, 31)
         exact = density(ModelParams(coupling=0.3), x)
-        approx = density_from_spectrum(occupation_spectrum(F03.xi), F03.omega_bar, x)
-        assert np.max(np.abs(approx - exact)) < 1e-10
+        assert np.max(np.abs(_diagonal(F03.xi, F03.omega_bar, x) - exact)) < 1e-10
 
     def test_wrong_frequency_breaks_the_density(self):
-        omega_bad = 1.2 * omega_p_from_constraint(F03.omega_s, 0.2)
-        approx = density_from_spectrum(occupation_spectrum(0.2), omega_bad, 0.0)
+        omega_bad = 1.2 * parametric_state(F03.omega_s, 0.5, 0.2).omega_p
+        approx = _diagonal(0.2, omega_bad, 0.0)
         assert abs(approx - density(ModelParams(coupling=0.3), 0.0)) > 1e-3
 
     def test_zero_xi_p_is_the_plain_gaussian(self):
-        omega_p = omega_p_from_constraint(F03.omega_s, 0.0)
+        omega_p = parametric_state(F03.omega_s, 0.5, 0.0).omega_p
         assert omega_p == F03.omega_s
-        val = density_from_spectrum(occupation_spectrum(0.0), omega_p, 0.55)
+        val = _diagonal(0.0, omega_p, 0.55)
         assert val == pytest.approx(density(ModelParams(coupling=0.3), 0.55), rel=1e-14)
 
 
@@ -185,11 +184,9 @@ class TestParametricState:
         assert st_.omega_p == pytest.approx(F03.omega_s * 1.25 / 0.75, rel=1e-15)
 
     def test_schmidt_state_is_the_exact_point(self):
-        st_ = schmidt_state(F03, 0.5)
+        st_ = parametric_state(F03.omega_s, 0.5, F03.xi)
         assert st_.xi_p == F03.xi
-        assert st_.omega_p == F03.omega_bar
-        constraint = omega_p_from_constraint(F03.omega_s, F03.xi)
-        assert st_.omega_p == pytest.approx(constraint, rel=1e-13)
+        assert st_.omega_p == pytest.approx(F03.omega_bar, rel=1e-13)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -198,7 +195,8 @@ class TestParametricState:
             ParametricState(q=0.0, xi_p=0.1, omega_p=1.0)
         with pytest.raises(DomainError):
             ParametricState(q=1.0, xi_p=0.1, omega_p=1.0)
-        with pytest.raises(DomainError):
-            omega_p_from_constraint(0.0, 0.1)
-        with pytest.raises(DomainError):
-            omega_p_from_constraint(1.0, 1.0)
+        with pytest.raises(DomainError, match="omega_s"):
+            parametric_state(0.0, 0.5, 0.1)
+        # xi_p is checked before the constraint divides by 1 - xi_p
+        with pytest.raises(DomainError, match="xi_p"):
+            parametric_state(1.0, 0.5, 1.0)
