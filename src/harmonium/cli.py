@@ -4,7 +4,7 @@ Subcommands: solve (one stationarity problem), sweep (grids of them),
 figure1 (the two ratio curves on the standard grid), verify (quadrature
 cross-checks as JSON), report (crossings, scaling exponents, mean-field
 summary).  Each takes only the flags its cmd_* reads (`_SUBCOMMANDS`),
-also through a key=value config file; explicit flags win.  Outputs are
+and argparse holds their types and defaults.  Outputs are
 CSV (comma separated, header row, LF, UTF-8, 17 significant digits) or
 JSON, written atomically when --out is given.  Each of sweep, figure1
 and report solves one batch of couplings per exponent.  The argument
@@ -20,10 +20,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
@@ -38,13 +40,6 @@ from .model import ModelParams, derive_frequencies, exact_energy, hartree_fock
 from .mueller import KernelSpec, energy_parametric
 
 __all__ = ["main", "run"]
-
-_DEFAULTS = {
-    "omega0": 1.0,
-    "format": "csv",
-}
-
-_FORMATS = ("csv", "json")
 
 _FIGURE1_HEADER = ["lambda", "xi", "xi_p_q04", "R_q04", "xi_p_q03", "R_q03"]
 
@@ -68,6 +63,8 @@ def _parse_grid(text: str) -> list[float]:
         count = int(parts[2])
     except ValueError as exc:
         raise DomainError(f"unparseable grid {text!r}: {exc}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise DomainError(f"grid endpoints must be finite, got {text!r}")
     if count < 2:
         raise DomainError(f"grids need at least 2 points, got {count}")
     if len(parts) == 4:
@@ -75,60 +72,6 @@ def _parse_grid(text: str) -> list[float]:
             raise DomainError("log grids need positive endpoints")
         return [float(v) for v in np.geomspace(start, stop, count)]
     return [float(v) for v in np.linspace(start, stop, count)]
-
-
-def _read_config(path: str) -> dict:
-    """key=value file; blank lines and # comments ignored."""
-    values: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise DomainError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, val = line.partition("=")
-                values[key.strip()] = val.strip()
-    except OSError as exc:
-        raise DomainError(f"cannot read config {path}: {exc}") from None
-    return values
-
-
-def _format_name(text: str) -> str:
-    if text not in _FORMATS:
-        raise ValueError(text)
-    return text
-
-
-#: Config key -> (namespace attribute, converter, what the value must be).
-_CONFIG_KEYS = {
-    "omega0": ("omega0", float, "float"),
-    "lambda": ("coupling", float, "float"),
-    "lambda-grid": ("lambda_grid", str, "str"),
-    "q": ("q", lambda text: [float(tok) for tok in text.replace(",", " ").split()], "float list"),
-    "format": ("format", _format_name, "format (csv or json)"),
-    "out": ("out", str, "str"),
-}
-
-
-def _merge_config(args: argparse.Namespace):
-    """Fill unset flags from the config file (a subcommand's flags only), then apply defaults."""
-    cfg = _read_config(args.config) if args.config else {}
-    unknown = [key for key in cfg
-               if key not in _CONFIG_KEYS or not hasattr(args, _CONFIG_KEYS[key][0])]
-    if unknown:
-        raise DomainError(f"unknown config keys: {sorted(unknown)}")
-    for key, text in cfg.items():
-        attr, conv, what = _CONFIG_KEYS[key]
-        if getattr(args, attr) is None:
-            try:
-                setattr(args, attr, conv(text))
-            except ValueError:
-                raise DomainError(f"config value for {key} is not a {what}: {text!r}")
-    for attr, value in _DEFAULTS.items():
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, value)
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -175,13 +118,13 @@ def _single_q(args) -> float:
         return 0.5
     if len(args.q) != 1:
         raise DomainError("this subcommand takes exactly one --q")
-    return float(args.q[0])
+    return args.q[0]
 
 
 def _require_coupling(args) -> float:
     if args.coupling is None:
         raise DomainError("a coupling is required; pass --lambda")
-    return float(args.coupling)
+    return args.coupling
 
 
 def cmd_solve(args) -> int:
@@ -225,20 +168,15 @@ _SWEEP_HEADER = [
     "dual_lambda", "dual_linear_entropy", "error",
 ]
 
-
-def _sweep_row(rec: slv.SweepRecord) -> list:
-    return [
-        rec.q, rec.coupling, rec.xi, rec.xi_p, rec.ratio, rec.e_p_total,
-        rec.e_ex_total, rec.purity, rec.linear_entropy, rec.linear_entropy_exact,
-        rec.dual_coupling, rec.dual_linear_entropy, rec.error,
-    ]
+# SweepRecord's fields in declared order; dataclasses.astuple would deep-copy every cell
+_sweep_row = operator.attrgetter(*(f.name for f in dataclasses.fields(slv.SweepRecord)))
 
 
 def _grid_from_args(args) -> list[float]:
     if args.lambda_grid is not None:
         return _parse_grid(args.lambda_grid)
     if args.coupling is not None:
-        return [float(args.coupling)]
+        return [args.coupling]
     raise DomainError("a coupling grid is required; pass --lambda-grid or --lambda")
 
 
@@ -288,15 +226,15 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    lambdas = [float(args.coupling)] if args.coupling is not None else [0.1, 0.3]
-    qs = [float(q) for q in args.q] if args.q else [0.5, 0.4]
+    lambdas = [args.coupling] if args.coupling is not None else [0.1, 0.3]
+    qs = args.q or [0.5, 0.4]
     checks = orc.run_verification(omega0=args.omega0, lambdas=lambdas, qs=qs, tamper=args.tamper)
     _emit(_json_text(checks), args.out)
     return 0 if all(c["pass"] for c in checks) else 1
 
 
 def cmd_report(args) -> int:
-    qs = [float(q) for q in args.q] if args.q else [0.4, 0.3]
+    qs = args.q or [0.4, 0.3]
     params = ModelParams(omega0=args.omega0)
     curves = []
     for q in qs:
@@ -345,18 +283,17 @@ def cmd_report(args) -> int:
 
 
 _FLAGS = {
-    "--omega0": dict(type=float, help="confinement frequency (default 1.0)"),
+    "--omega0": dict(type=float, default=1.0, help="confinement frequency (default 1.0)"),
     "--lambda": dict(dest="coupling", type=float, help="interaction strength, must stay below 0.5"),
     "--lambda-grid": dict(dest="lambda_grid", metavar="START:STOP:COUNT[:log]",
                           help="coupling grid specification"),
     "--q": dict(action="append", type=float, help="kernel exponent; repeat for several"),
-    "--format": dict(choices=_FORMATS, help="output format (default csv)"),
+    "--format": dict(choices=("csv", "json"), default="csv", help="output format (default csv)"),
     "--tamper": dict(action="store_true", help=argparse.SUPPRESS),
     "--out": dict(help="output path (default stdout); written atomically"),
-    "--config": dict(help="key=value file supplying defaults for this subcommand's flags"),
 }
 
-#: Subcommand -> (help, the flags its cmd_* reads besides --omega0, --out and --config).
+#: Subcommand -> (help, the flags its cmd_* reads besides --omega0 and --out).
 _SUBCOMMANDS = {
     "solve": ("solve the stationarity condition at one (lambda, q)",
               ("--lambda", "--q", "--format")),
@@ -380,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
         # no prefix matching: on figure1, --lambda would otherwise mean --lambda-grid
         command = sub.add_parser(name, help=help_text, allow_abbrev=False)
         command.set_defaults(command_parser=command)
-        for flag in ("--omega0", *flags, "--out", "--config"):
+        for flag in ("--omega0", *flags, "--out"):
             command.add_argument(flag, **_FLAGS[flag])
     return parser
 
@@ -391,7 +328,6 @@ def main(argv=None) -> int:
         # reported by the subcommand, so that the usage line lists the flags it takes
         args.command_parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
-        _merge_config(args)
         # looked up at call time, so that a wrapped or patched cmd_* is the one that runs
         return globals()[f"cmd_{args.command}"](args)
     except DomainError as exc:

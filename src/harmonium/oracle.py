@@ -470,11 +470,13 @@ def run_verification(
     [0, ORACLE_LAMBDA_MAX] raises DomainError before its quadrature runs.
 
     tamper=True skews the closed-form references by 2e-4 and is only there
-    to prove the harness can fail (negative control).
+    to prove the harness can fail (negative control).  A repeated coupling or
+    exponent is checked once, in first-seen order, so check names stay unique.
     """
     skew = 1.0 + 2e-4 if tamper else 1.0
+    qs = list(dict.fromkeys(qs))
     checks: list[dict] = []
-    for lam in lambdas:
+    for lam in dict.fromkeys(lambdas):
         params = ModelParams(omega0=omega0, coupling=float(lam))
         _check_oracle_window(params)
         f = derive_frequencies(params)

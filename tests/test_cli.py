@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,15 +26,17 @@ SWEEP_FIXTURES = [
     ("sweep_decades.csv", "1e-300:1e-3:25:log", ("--q", "0.3", "--q", "0.5", "--q", "0.7"), 1),
 ]
 
-#: Flags of other subcommands that these subcommands once accepted and ignored
-#: (figure1's --q and --lambda are in TestFigure1).
+#: A value for each flag that takes one; --tamper is store_true and takes none.
+FLAG_VALUES = {"--lambda": "0.3", "--lambda-grid": "0.1:0.2:3", "--q": "0.4",
+               "--format": "json", "--config": "run.cfg"}
+
+#: Every flag a subcommand does not read: the other subcommands' flags, and
+#: --config, which no subcommand takes.
 IGNORED_FLAGS = [
-    ("solve", "--lambda-grid", "0.1:0.2:3"),
-    ("verify", "--lambda-grid", "0.1:0.2:3"),
-    ("verify", "--format", "csv"),
-    ("report", "--lambda", "0.3"),
-    ("report", "--lambda-grid", "0.1:0.2:3"),
-    ("report", "--format", "json"),
+    (command, flag, FLAG_VALUES.get(flag))
+    for command, (_, taken) in cli._SUBCOMMANDS.items()
+    for flag in [*cli._FLAGS, "--config"]
+    if flag not in (*taken, "--omega0", "--out")
 ]
 
 
@@ -53,33 +56,35 @@ class TestParser:
         assert cli._build_parser() is cli._build_parser()
 
     @pytest.mark.parametrize("command", ["solve", "sweep", "figure1", "verify", "report"])
-    def test_tolerances_are_not_options(self, capsys, tmp_path, command):
-        # the root and truncation tolerances are fixed; neither flag nor config key exists
+    def test_tolerances_are_not_options(self, capsys, command):
+        # the root and truncation tolerances are fixed; no flag sets them
         for flag in (["--tol-root", "1e-6"], ["--tol-trunc", "1e-10"]):
             with pytest.raises(SystemExit) as exc:
                 main([command, *flag])
             assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("tol-root=1e-6\n")
-        code, out, err = run_cli(capsys, command, "--config", str(cfg))
-        assert code == 2 and out == "" and "tol-root" in err
 
     @pytest.mark.parametrize("command, flag, value", IGNORED_FLAGS,
                              ids=[f"{c}{f}" for c, f, _ in IGNORED_FLAGS])
-    def test_flags_a_subcommand_does_not_read_are_rejected(self, capsys, tmp_path,
-                                                           command, flag, value):
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, capsys, command, flag, value):
+        argv = [flag] if value is None else [flag, value]
         with pytest.raises(SystemExit) as exc:
-            main([command, flag, value])
-        err = capsys.readouterr().err
-        assert exc.value.code == 2 and "unrecognized arguments" in err
+            main([command, *argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
         # the subcommand's own usage line, which lists the flags it does take
-        assert err.startswith(f"usage: harmonium {command} ")
-        assert f"harmonium {command}: error: unrecognized arguments: {flag} {value}" in err
-        key = flag[2:]
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key}={value}\n")
-        code, out, err = run_cli(capsys, command, "--config", str(cfg))
-        assert code == 2 and out == "" and "unknown config keys" in err and repr(key) in err
+        assert captured.err.startswith(f"usage: harmonium {command} ")
+        assert (f"harmonium {command}: error: unrecognized arguments: {' '.join(argv)}\n"
+                in captured.err)
+
+    @pytest.mark.parametrize("command, spec", [("sweep", "nan:0.3:3"), ("sweep", "0.1:inf:3"),
+                                               ("figure1", "0.1:nan:3")])
+    def test_non_finite_grid_endpoint_is_usage_error(self, capsys, command, spec):
+        # refused before numpy sees the endpoints, so no row is solved and no warning leaks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command, "--lambda-grid", spec)
+        assert code == 2 and out == ""
+        assert err == f"error: grid endpoints must be finite, got {spec!r}\n"
 
     def test_parses_share_no_state(self):
         parser = cli._build_parser()
@@ -260,58 +265,11 @@ class TestFigure1:
         assert last[1] != "nan" and last[2:] == ["nan"] * 4
 
     @pytest.mark.parametrize("key, value", [("q", "0.2"), ("lambda", "0.3")])
-    def test_q_and_lambda_are_usage_errors(self, capsys, tmp_path, key, value):
+    def test_q_and_lambda_are_usage_errors(self, capsys, key, value):
         # figure1 fixes its exponents and takes its couplings from --lambda-grid only
         with pytest.raises(SystemExit) as exc:
             main(["figure1", f"--{key}", value])
         assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = {value}\n")
-        code, out, err = run_cli(capsys, "figure1", "--config", str(cfg))
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-
-
-class TestConfig:
-    def test_flags_beat_config(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# defaults for the small study\nlambda = 0.1\nformat = json\n")
-        code, out, _ = run_cli(capsys, "solve", "--config", str(cfg), "--lambda", "0.3")
-        assert code == 0
-        record = json.loads(out)  # format comes from the config
-        assert record["lambda"] == 0.3  # flag wins over the config value
-
-    def test_config_supplies_q_list(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("q = 0.5, 0.4\n")
-        code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--lambda", "0.3")
-        assert code == 0
-        assert len(out.splitlines()) == 3
-
-    @pytest.mark.parametrize("command", ["solve", "sweep", "figure1"])
-    def test_format_outside_the_choices_is_usage_error(self, capsys, tmp_path, command):
-        # the config value is held to the same choices as the --format flag
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("format = xml\n")
-        code, out, err = run_cli(capsys, command, "--config", str(cfg))
-        assert code == 2 and out == ""
-        assert err.startswith("error: config value for format") and "'xml'" in err
-
-    def test_unknown_key(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("wavelength = 0.1\n")
-        code, _, err = run_cli(capsys, "solve", "--config", str(cfg), "--lambda", "0.3")
-        assert code == 2 and "wavelength" in err
-
-    def test_malformed_line(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("lambda 0.1\n")
-        code, _, err = run_cli(capsys, "solve", "--config", str(cfg))
-        assert code == 2 and "key=value" in err
-
-    def test_missing_file(self, capsys):
-        code, _, err = run_cli(capsys, "solve", "--config", "/nonexistent.cfg")
-        assert code == 2 and "cannot read config" in err
 
 
 class TestVerify:

@@ -371,6 +371,14 @@ class TestVerification:
             assert set(c) == {"check", "value", "reference", "error", "tolerance", "pass"}
             assert isinstance(c["pass"], bool)
 
+    def test_repeats_are_checked_once_in_first_seen_order(self):
+        # the scoreboard is read by check name, so a name may not appear twice
+        once = run_verification(lambdas=(0.3, 0.1), qs=(0.4, 0.5))
+        assert run_verification(lambdas=(0.3, 0.1, 0.3), qs=(0.4, 0.5, 0.4)) == once
+        names = [c["check"] for c in once]
+        assert len(names) == len(set(names))
+        assert names[0] == "psi_norm[lam=0.3]"
+
     def test_tamper_is_detected(self):
         report = run_verification(lambdas=(0.3,), qs=(0.5,), tamper=True)
         by_name = {c["check"]: c for c in report}
