@@ -18,7 +18,7 @@ print("occupation spectra across the coupling range")
 print(f"{'coupling':>9} {'xi':>13} {'orbitals':>9} {'P_0':>10} {'P_1':>10} {'tail':>9}")
 for lam in (0.05, 0.2, 0.35, 0.45, 0.499):
     f = derive_frequencies(ModelParams(coupling=lam))
-    spec = occupation_spectrum(f.xi, tol=1e-14)
+    spec = occupation_spectrum(f.xi)
     print(f"{lam:9.3f} {f.xi:13.6e} {spec.truncation:9d} "
           f"{spec.weights[0]:10.6f} {spec.weights[1]:10.6f} {spec.tail_mass:9.2e}")
 print()

@@ -176,6 +176,8 @@ def _grid_from_args(args) -> list[float]:
     if args.lambda_grid is not None:
         return _parse_grid(args.lambda_grid)
     if args.coupling is not None:
+        if not math.isfinite(args.coupling):
+            raise DomainError(f"coupling must be finite, got {args.coupling}")
         return [args.coupling]
     raise DomainError("a coupling grid is required; pass --lambda-grid or --lambda")
 
@@ -199,16 +201,14 @@ def cmd_figure1(args) -> int:
         grid = _parse_grid(args.lambda_grid)
     else:
         grid = [float(v) for v in np.linspace(0.005, 0.495, 99)]
-    params = ModelParams(omega0=args.omega0)
-    batches = [(2, slv.solve_batch(0.4, grid, params.omega0)),
-               (4, slv.solve_batch(0.3, grid, params.omega0))]
+    batches = [(2, slv.solve_batch(0.4, grid)), (4, slv.solve_batch(0.3, grid))]
     rows = []
     failed = 0
     nan = float("nan")
     for i, lam in enumerate(grid):
         row = [lam, nan, nan, nan, nan, nan]
         try:
-            xi = derive_frequencies(ModelParams(omega0=params.omega0, coupling=lam)).xi
+            xi = derive_frequencies(ModelParams(coupling=lam)).xi
             row[1] = xi
             for slot, batch in batches:
                 xi_p = batch.solution(i).xi_p
@@ -293,16 +293,16 @@ _FLAGS = {
     "--out": dict(help="output path (default stdout); written atomically"),
 }
 
-#: Subcommand -> (help, the flags its cmd_* reads besides --omega0 and --out).
+#: Subcommand -> (help, the flags its cmd_* reads besides --out).
 _SUBCOMMANDS = {
     "solve": ("solve the stationarity condition at one (lambda, q)",
-              ("--lambda", "--q", "--format")),
+              ("--omega0", "--lambda", "--q", "--format")),
     "sweep": ("tabulate solutions over a coupling grid",
-              ("--lambda", "--lambda-grid", "--q", "--format")),
+              ("--omega0", "--lambda", "--lambda-grid", "--q", "--format")),
     "figure1": ("ratio curves for q = 0.4 and 0.3 on the standard grid",
                 ("--lambda-grid", "--format")),
-    "verify": ("run the quadrature cross-checks", ("--lambda", "--q", "--tamper")),
-    "report": ("crossings, scaling exponents and mean-field summary", ("--q",)),
+    "verify": ("run the quadrature cross-checks", ("--omega0", "--lambda", "--q", "--tamper")),
+    "report": ("crossings, scaling exponents and mean-field summary", ("--omega0", "--q")),
 }
 
 
@@ -317,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
         # no prefix matching: on figure1, --lambda would otherwise mean --lambda-grid
         command = sub.add_parser(name, help=help_text, allow_abbrev=False)
         command.set_defaults(command_parser=command)
-        for flag in ("--omega0", *flags, "--out"):
+        for flag in (*flags, "--out"):
             command.add_argument(flag, **_FLAGS[flag])
     return parser
 

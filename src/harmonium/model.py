@@ -87,7 +87,9 @@ class ModelParams:
     def __post_init__(self):
         if not (math.isfinite(self.omega0) and self.omega0 > 0.0):
             raise DomainError(f"omega0 must be finite and positive, got {self.omega0}")
-        if not (math.isfinite(self.coupling) and self.coupling < LAMBDA_STABILITY):
+        if not math.isfinite(self.coupling):
+            raise DomainError(f"coupling must be finite, got {self.coupling}")
+        if not self.coupling < LAMBDA_STABILITY:
             raise DomainError(
                 f"coupling {self.coupling} is at or beyond the stability bound 0.5; "
                 "the relative-mode frequency omega0*sqrt(1 - 2*coupling) must stay real"
@@ -132,13 +134,8 @@ def derive_frequencies(params: ModelParams) -> DerivedFrequencies:
     1 - (1 - 2*coupling)^(1/4) taken as -expm1(log1p(-2*coupling)/4) so that
     it keeps its relative accuracy at small coupling; z is kept for its sign.
     """
-    radicand = 1.0 - 2.0 * params.coupling
-    if radicand <= 0.0:
-        raise DomainError(
-            f"coupling {params.coupling} leaves no bound relative mode (needs coupling < 0.5)"
-        )
     omega1 = params.omega0
-    omega2 = params.omega0 * math.sqrt(radicand)
+    omega2 = params.omega0 * math.sqrt(1.0 - 2.0 * params.coupling)
     omega_s = 2.0 * omega1 * omega2 / (omega1 + omega2)
     omega_bar = math.sqrt(omega1 * omega2)
     s1 = math.sqrt(omega1)

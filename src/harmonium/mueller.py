@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 from .model import LAMBDA_MAX, EnergyBreakdown, ModelParams, derive_frequencies
 from .spectral import _check_xi
@@ -69,31 +71,38 @@ class KernelSpec:
         return cls(q=q)
 
 
-def interaction_bracket(q: float, xi: float) -> float:
+def interaction_bracket(q: float, xi):
     """Dimensionless interaction factor 2 - (1-xi^q)(1-xi^(1-q))/(1+xi).
 
-    Symmetric under q <-> 1-q; equals 1 at xi = 0 and 2 - omega_s/omega1 at
-    (q, xi) = (1/2, xi(coupling)).
+    Accepts scalar or array xi.  Symmetric under q <-> 1-q; equals 1 at
+    xi = 0 and 2 - omega_s/omega1 at (q, xi) = (1/2, xi(coupling)).
     """
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0, 1), got {q}")
-    _check_xi(xi)
+    xi = _check_xi(xi)
     return 2.0 - (1.0 - xi ** q) * (1.0 - xi ** (1.0 - q)) / (1.0 + xi)
 
 
-def kinetic_parametric(omega_s: float, xi_p: float) -> float:
-    """Two-particle kinetic energy omega_s/2 ((1+xi_p)/(1-xi_p))^2 of the family."""
+def kinetic_parametric(omega_s: float, xi_p):
+    """Two-particle kinetic energy omega_s/2 ((1+xi_p)/(1-xi_p))^2 of the family,
+    for scalar or array xi_p."""
     if not omega_s > 0.0:
         raise DomainError(f"omega_s must be positive, got {omega_s}")
-    if not (0.0 <= xi_p <= XI_P_MAX):
+    if isinstance(xi_p, (float, int)):
+        valid = 0.0 <= xi_p <= XI_P_MAX
+    else:
+        xi_p = np.asarray(xi_p, dtype=float)
+        valid = np.all((0.0 <= xi_p) & (xi_p <= XI_P_MAX))
+    if not valid:
         raise DomainError(f"xi_p must lie in [0, {XI_P_MAX}], got {xi_p}")
     return 0.5 * omega_s * ((1.0 + xi_p) / (1.0 - xi_p)) ** 2
 
 
-def energy_parametric(params: ModelParams, spec: KernelSpec, xi_p: float) -> EnergyBreakdown:
-    """Total model energy at correlation parameter xi_p.
+def energy_parametric(params: ModelParams, spec: KernelSpec, xi_p) -> EnergyBreakdown:
+    """Total model energy at correlation parameter xi_p, a scalar or an array.
 
-    The confinement term omega0^2/(2 omega_s) carries no xi_p dependence
+    An array xi_p gives array kinetic, interaction and total terms.  The
+    confinement term omega0^2/(2 omega_s) carries no xi_p dependence
     because the density width is held at the exact omega_s.
     """
     if not (0.0 <= params.coupling <= LAMBDA_MAX):

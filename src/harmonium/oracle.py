@@ -276,18 +276,17 @@ def hamiltonian_expectation_numeric(
     return base
 
 
-def spectral_kinetic_sum(xi_p: float, omega_p: float, rule: QuadratureRule | None = None) -> float:
+def spectral_kinetic_sum(xi_p: float, omega_p: float) -> float:
     """Two-particle kinetic energy summed orbital by orbital.
 
-    Each orbital contributes the quadrature of (phi_n')^2 / 2, with the
-    derivative taken through the exact ladder relation; the occupation-
-    weighted sum times two (one factor per particle) must land on the
-    closed-form kinetic energy of the family.
+    Each orbital contributes the quadrature of (phi_n')^2 / 2 on a 96-node
+    rule of scale omega_p, with the derivative taken through the exact
+    ladder relation; the occupation-weighted sum times two (one factor per
+    particle) must land on the closed-form kinetic energy of the family.
     """
     spectrum = occupation_spectrum(xi_p)
     n_orb = spectrum.truncation
-    if rule is None:
-        rule = gauss_hermite_rule(96, omega_p)
+    rule = gauss_hermite_rule(96, omega_p)
     basis = reference_basis(n_orb + 1, omega_p, rule.nodes)
     root_w = math.sqrt(omega_p)
     contributions = []
@@ -357,16 +356,12 @@ def kernel_interaction_numeric(
 
 
 def kernel_integral_numeric(
-    params: ModelParams,
-    spec: KernelSpec,
-    state: ParametricState,
-    rule: QuadratureRule | None = None,
+    params: ModelParams, spec: KernelSpec, state: ParametricState
 ) -> float:
-    """Plain double integral of the pair kernel: 2 minus the gamma^q gamma^(1-q) mass, so 1."""
+    """Plain double integral of the pair kernel on a 96-node rule of per-axis
+    scale omega_s: 2 minus the gamma^q gamma^(1-q) mass, so 1."""
     _check_oracle_window(params)
-    f = derive_frequencies(params)
-    if rule is None:
-        rule = gauss_hermite_rule(96, f.omega_s)
+    rule = gauss_hermite_rule(96, derive_frequencies(params).omega_s)
     return quad_2d(rule, _kernel_on_grid(params, spec, state, rule))
 
 
@@ -397,29 +392,13 @@ def _golden_section(f, a, b):
     return (c, fc) if fc < fd else (d, fd)
 
 
-def _scan_energies(params: ModelParams, spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
-    """`energy_parametric(params, spec, x).total` at every x of xs in one numpy pass.
-
-    The closed form T_p + confinement + W_p of `mueller`, term by term and
-    operation by operation as `energy_parametric` forms it; only numpy's
-    pow may differ from libm's, by an ulp.
-    """
-    f = derive_frequencies(params)
-    q = spec.q
-    kinetic = 0.5 * f.omega_s * ((1.0 + xs) / (1.0 - xs)) ** 2
-    external = params.omega0 ** 2 / (2.0 * f.omega_s)
-    bracket = 2.0 - (1.0 - xs ** q) * (1.0 - xs ** (1.0 - q)) / (1.0 + xs)
-    interaction = -0.5 * params.coupling * params.omega0 ** 2 / f.omega_s * bracket
-    return kinetic + external + interaction
-
-
 def brute_force_minimize(params: ModelParams, spec: KernelSpec) -> tuple[float, float]:
     """Minimize the parametric energy by dense scan plus golden-section polish.
 
-    Scores 4096 points of [0, 0.999] in one numpy pass (`_scan_energies`)
-    and rescores those within 1e-12 relative of the lowest on the scalar
-    `energy_parametric`, so that an ulp of pow cannot move the pick off the
-    scalar scan's.  The pick's neighbours are then polished on
+    Scores 4096 points of [0, 0.999] in one array call of `energy_parametric`
+    and rescores those within 1e-12 relative of the lowest on scalar calls,
+    so that an ulp of numpy's pow against libm's cannot move the pick off
+    the scalar scan's.  The pick's neighbours are then polished on
     `energy_parametric` to a 1e-10 bracket.  Knows nothing about
     stationarity conditions or bracketing; serves as the independent route
     to the variational minimum.  Returns (xi_p, energy).
@@ -429,7 +408,7 @@ def brute_force_minimize(params: ModelParams, spec: KernelSpec) -> tuple[float, 
     def objective(x: float) -> float:
         return energy_parametric(params, spec, float(x)).total
 
-    energies = _scan_energies(params, spec, xs)
+    energies = energy_parametric(params, spec, xs).total
     lowest = energies.min()
     near = np.flatnonzero(energies <= lowest + _SCAN_RESCORE * abs(lowest))
     i = int(min(near, key=lambda j: objective(xs[j])))
@@ -471,12 +450,18 @@ def run_verification(
 
     tamper=True skews the closed-form references by 2e-4 and is only there
     to prove the harness can fail (negative control).  A repeated coupling or
-    exponent is checked once, in first-seen order, so check names stay unique.
+    exponent is checked once, in first-seen order, so check names stay unique;
+    two distinct ones whose tags (6 significant digits) coincide raise
+    DomainError before any quadrature runs.
     """
     skew = 1.0 + 2e-4 if tamper else 1.0
-    qs = list(dict.fromkeys(qs))
+    lambdas, qs = list(dict.fromkeys(lambdas)), list(dict.fromkeys(qs))
+    for name, values in (("lam", lambdas), ("q", qs)):
+        tags = [f"{name}={v:g}" for v in values]
+        if len(set(tags)) < len(tags):
+            raise DomainError(f"the distinct values {values} print as the check-name tags {tags}")
     checks: list[dict] = []
-    for lam in dict.fromkeys(lambdas):
+    for lam in lambdas:
         params = ModelParams(omega0=omega0, coupling=float(lam))
         _check_oracle_window(params)
         f = derive_frequencies(params)

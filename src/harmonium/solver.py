@@ -13,7 +13,9 @@ with
 At q = 1/2 the condition collapses to sqrt(xi)/(1-xi) ((1+xi)/(1-xi))^3 =
 rhs, whose solution is the exact correlation parameter xi(coupling); the
 identity rhs = sqrt(xi)(1+xi)^3/(1-xi)^4 at xi = xi(coupling) holds for
-every coupling in the stability window.
+every coupling in the stability window.  omega_s is proportional to
+omega0, so rhs, the roots and the crossings depend on (q, coupling) alone,
+bit for bit; only the energies that `sweep` reports scale with omega0.
 
 The solver works in log space, because for small coupling the root scales
 like a power of the coupling (xi_p ~ coupling^(1/max(q, 1-q)) for q != 1/2,
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -137,14 +139,16 @@ def stationarity_lhs(q: float, xi_p):
 
 
 def stationarity_rhs(params: ModelParams) -> float:
-    """Right side coupling * (omega0 / (2 omega_s))^2 of the optimality condition."""
-    if not (0.0 <= params.coupling <= LAMBDA_MAX):
+    """Right side coupling * (omega0 / (2 omega_s))^2 of the optimality condition,
+    where omega_s / omega0 = 2s/(1+s) with s = sqrt(1 - 2 coupling): omega0 cancels."""
+    lam = params.coupling
+    if not (0.0 <= lam <= LAMBDA_MAX):
         raise DomainError(
-            f"stationarity condition is defined for coupling in [0, {LAMBDA_MAX}], "
-            f"got {params.coupling}"
+            f"stationarity condition is defined for coupling in [0, {LAMBDA_MAX}], got {lam}"
         )
-    f = derive_frequencies(params)
-    return params.coupling * (params.omega0 / (2.0 * f.omega_s)) ** 2
+    s = math.sqrt(1.0 - 2.0 * lam)
+    omega_s = 2.0 * s / (1.0 + s)
+    return lam * (1.0 / (2.0 * omega_s)) ** 2
 
 
 @functools.cache
@@ -194,7 +198,7 @@ class BatchSolution:
         )
 
 
-def solve_batch(q: float, couplings, omega0: float = 1.0) -> BatchSolution:
+def solve_batch(q: float, couplings) -> BatchSolution:
     """Solve the stationarity condition at exponent q for every coupling at once.
 
     A row stops once its sign-change bracket is narrower than 1e-15
@@ -205,7 +209,7 @@ def solve_batch(q: float, couplings, omega0: float = 1.0) -> BatchSolution:
     DomainError for an exponent outside [Q_MIN, Q_MAX], BracketError for a
     scan on which lhs is not strictly increasing.
     """
-    return _solve(q, couplings, omega0)
+    return _solve(q, couplings)
 
 
 def solve_xi_p(params: ModelParams, q: float) -> StationaritySolution:
@@ -213,10 +217,10 @@ def solve_xi_p(params: ModelParams, q: float) -> StationaritySolution:
 
     A batch of one on the same path as `solve_batch`; the row's error is raised.
     """
-    return _solve(q, (params.coupling,), params.omega0).solution(0)
+    return _solve(q, (params.coupling,)).solution(0)
 
 
-def _solve(q: float, couplings, omega0: float) -> BatchSolution:
+def _solve(q: float, couplings) -> BatchSolution:
     # The body of solve_batch.  solve_xi_p calls it directly, so that the lhs
     # evaluations of a single solve are direct children of solve_xi_p in a
     # trace that wraps the public functions (benchmark/tracing.py).
@@ -233,7 +237,7 @@ def _solve(q: float, couplings, omega0: float) -> BatchSolution:
     # frame and with it `errors`, a cycle that only the cyclic GC frees.
     for i, lam in enumerate(lams):
         try:
-            rhs[i] = stationarity_rhs(ModelParams(omega0, lam))
+            rhs[i] = stationarity_rhs(ModelParams(coupling=lam))
         except DomainError as exc:
             errors[i] = exc.with_traceback(None)
         else:
@@ -316,25 +320,25 @@ def sweep(params_base: ModelParams, q_list, lambda_grid) -> list[SweepRecord]:
     [0, LAMBDA_MAX]; every other coupling fails its solve at every q.  Each
     q is one `solve_batch` call over the whole grid, and a row that fails
     holds the solver's error text in its error field instead of raising.
+    Only the two energy columns depend on params_base's omega0.
     """
     nan = math.nan
-    omega0 = params_base.omega0
     qs = sorted(set(float(q) for q in q_list))
     lams = sorted(set(float(lam) for lam in lambda_grid))
     exact = {}
     for lam in lams:
         if 0.0 <= lam <= LAMBDA_MAX:
-            params = ModelParams(omega0, lam)
+            params = replace(params_base, coupling=lam)
             xi = derive_frequencies(params).xi
             lam_dual = l_dual = nan
             if lam > 0.0:
                 lam_dual = dual_coupling(lam)
-                l_dual = linear_entropy(derive_frequencies(ModelParams(omega0, lam_dual)).xi)
+                l_dual = linear_entropy(derive_frequencies(ModelParams(coupling=lam_dual)).xi)
             exact[lam] = (params, xi, exact_energy(params).total, linear_entropy(xi),
                           lam_dual, l_dual)
     records = []
     for q in qs:
-        batch = solve_batch(q, lams, omega0)
+        batch = solve_batch(q, lams)
         spec = KernelSpec.sum_one(q)
         for lam, xi_p, error in zip(lams, batch.xi_p.tolist(), batch.errors):
             if error is not None:
@@ -404,13 +408,13 @@ def find_crossing(params_base: ModelParams, q: float) -> float:
     the two sides rises through 0 on the xi images of couplings [1e-3,
     LAMBDA_MAX]; the safeguarded Newton steps of `solve_batch` find its root
     to the same 1e-15 relative bracket width in xi, and the coupling follows
-    as (1 - u^4)/2 with u = (1 - sqrt(xi))/(1 + sqrt(xi)).
+    as (1 - u^4)/2 with u = (1 - sqrt(xi))/(1 + sqrt(xi)).  Nothing depends
+    on omega0, so params_base is unread, kept only for positional callers.
     """
     _check_q(q)
     if q == 0.5:
         raise NoCrossingError("the ratio is identically 1 at q = 0.5; no crossing to find")
-    lo, hi = (derive_frequencies(ModelParams(params_base.omega0, lam)).xi
-              for lam in _CROSSING_COUPLINGS)
+    lo, hi = (derive_frequencies(ModelParams(coupling=lam)).xi for lam in _CROSSING_COUPLINGS)
     g_lo, g_hi = _crossing_gap(q, lo)[0], _crossing_gap(q, hi)[0]
     if not g_lo < 0.0 < g_hi:
         raise NoCrossingError(f"lhs(q, xi) - lhs(1/2, xi) does not rise through 0 between "
@@ -446,10 +450,11 @@ def scaling_exponent(params_base: ModelParams, q: float) -> float:
     Couplings of 1e-4 to 1e-3 are not yet in that limit near q = 1/2: the
     fit comes out above it by 0.4 % at q = 0.3, 1.6 % at q = 0.4, 3.1-3.3 %
     at q = 0.45-0.46 and 1.7 % at q = 0.49, and gives 2.0007 at q = 1/2.
-    The slope is symmetric under q <-> 1-q.
+    The slope is symmetric under q <-> 1-q.  Nothing depends on omega0, so
+    params_base is unread, kept only for positional callers.
     """
     lams = np.geomspace(1e-4, 1e-3, 8)
-    batch = solve_batch(q, lams, params_base.omega0)
+    batch = solve_batch(q, lams)
     roots = [batch.solution(i).xi_p for i in range(lams.size)]
     slope = np.polyfit(np.log(lams), np.log(roots), 1)[0]
     return float(slope)

@@ -18,8 +18,8 @@ xi_p = xi this reproduces gamma exactly (then omega_p = omega_bar).
 series pointwise (its diagonal at power 1 is the density), and
 `hermite_basis` supplies the orbitals.
 
-Series are truncated once the geometric tail xi^N drops below a tolerance;
-N is clamped to [16, 512].
+Series are truncated once the geometric tail xi^N drops to 1e-14, a fixed
+tolerance; N is clamped to [16, 512].
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ __all__ = [
 
 TRUNCATION_MIN = 16
 TRUNCATION_MAX = 512
+#: Geometric tail xi^N at which every spectrum is truncated.
+_TAIL_TOL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,24 +77,22 @@ def _check_xi(xi, what: str = "xi"):
     raise DomainError(f"{what} must lie in [0, 1), got {xi}")
 
 
-def truncation_order(xi: float, tol: float) -> int:
-    """Smallest N with xi^N <= tol, clamped to [16, 512]."""
+def truncation_order(xi: float) -> int:
+    """Smallest N with xi^N <= 1e-14, clamped to [16, 512]."""
     if xi == 0.0:
         return TRUNCATION_MIN
-    n = math.ceil(math.log(tol) / math.log(xi))
+    n = math.ceil(math.log(_TAIL_TOL) / math.log(xi))
     return min(max(n, TRUNCATION_MIN), TRUNCATION_MAX)
 
 
-def occupation_spectrum(xi: float, tol: float = 1e-14) -> OccupationSpectrum:
+def occupation_spectrum(xi: float) -> OccupationSpectrum:
     """Geometric occupation spectrum for correlation parameter xi.
 
     Weights decrease strictly (for xi > 0) and sum to 1 - xi^N with the
     tail mass making up the difference.
     """
     _check_xi(xi)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"truncation tolerance must be positive, got {tol}")
-    n = truncation_order(xi, tol)
+    n = truncation_order(xi)
     powers = xi ** np.arange(n, dtype=float)
     weights = (1.0 - xi) * powers
     tail = xi ** float(n)

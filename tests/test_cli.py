@@ -27,7 +27,7 @@ SWEEP_FIXTURES = [
 ]
 
 #: A value for each flag that takes one; --tamper is store_true and takes none.
-FLAG_VALUES = {"--lambda": "0.3", "--lambda-grid": "0.1:0.2:3", "--q": "0.4",
+FLAG_VALUES = {"--omega0": "2.0", "--lambda": "0.3", "--lambda-grid": "0.1:0.2:3", "--q": "0.4",
                "--format": "json", "--config": "run.cfg"}
 
 #: Every flag a subcommand does not read: the other subcommands' flags, and
@@ -36,7 +36,7 @@ IGNORED_FLAGS = [
     (command, flag, FLAG_VALUES.get(flag))
     for command, (_, taken) in cli._SUBCOMMANDS.items()
     for flag in [*cli._FLAGS, "--config"]
-    if flag not in (*taken, "--omega0", "--out")
+    if flag not in (*taken, "--out")
 ]
 
 
@@ -85,6 +85,14 @@ class TestParser:
             code, out, err = run_cli(capsys, command, "--lambda-grid", spec)
         assert code == 2 and out == ""
         assert err == f"error: grid endpoints must be finite, got {spec!r}\n"
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coupling_is_usage_error(self, capsys, command, value):
+        # its own message, not the stability bound's, and no row is solved
+        code, out, err = run_cli(capsys, command, f"--lambda={value}")
+        assert code == 2 and out == ""
+        assert err == f"error: coupling must be finite, got {value}\n"
 
     def test_parses_share_no_state(self):
         parser = cli._build_parser()
@@ -210,6 +218,19 @@ class TestSweep:
             code, _, err = run_cli(capsys, "sweep", "--lambda-grid", spec)
             assert code == 2, spec
 
+    def test_dimensionless_columns_do_not_depend_on_omega0(self, capsys):
+        # omega0 cancels from the stationarity condition: every column but the
+        # two energies keeps its bytes at every omega0
+        grid = ("--lambda-grid", "1e-9:0.4999:200:log", "--q", "0.4", "--q", "0.5", "--q", "0.65")
+        tables = {}
+        for omega0 in ("0.5", "1", "3", "7.3"):
+            code, out, _ = run_cli(capsys, "sweep", "--omega0", omega0, *grid)
+            assert code == 0
+            rows = [line.split(",") for line in out.splitlines()]
+            tables[omega0] = [row[:5] + row[7:] for row in rows]
+        assert len(tables["1"]) == 601
+        assert all(table == tables["1"] for table in tables.values())
+
     def test_log_grid(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--lambda-grid", "1e-3:1e-1:3:log",
                                "--q", "0.5")
@@ -297,6 +318,18 @@ class TestVerify:
         assert code == 1
         checks = json.loads(out)
         assert any(not c["pass"] for c in checks)
+
+    def test_exponents_sharing_a_check_tag_are_refused(self, capsys, monkeypatch):
+        # 0.4 and 0.4000001 both print as q=0.4, which would repeat check names
+        def no_quadrature(*a, **k):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(orc, "gauss_hermite_rule", no_quadrature)
+        code, out, err = run_cli(capsys, "verify", "--lambda", "0.3", "--q", "0.4",
+                                 "--q", "0.4000001")
+        assert code == 2 and out == ""
+        assert err == ("error: the distinct values [0.4, 0.4000001] print as the check-name "
+                       "tags ['q=0.4', 'q=0.4']\n")
 
     @pytest.mark.parametrize("coupling", ["-0.1", "0.46"])
     def test_coupling_outside_the_oracle_window(self, capsys, monkeypatch, coupling):

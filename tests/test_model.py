@@ -31,9 +31,13 @@ class TestParams:
         with pytest.raises(DomainError):
             ModelParams(omega0=omega0)
 
-    @pytest.mark.parametrize("coupling", [0.5, 0.7, float("nan"), float("inf")])
-    def test_bad_coupling(self, coupling):
-        with pytest.raises(DomainError, match="stability"):
+    @pytest.mark.parametrize("coupling, message", [
+        (0.5, "stability bound"), (0.7, "stability bound"), (float("nan"), "must be finite"),
+        (float("inf"), "must be finite"), (float("-inf"), "must be finite"),
+    ], ids=["0.5", "0.7", "nan", "inf", "-inf"])
+    def test_bad_coupling(self, coupling, message):
+        # a non-finite coupling is not reported as an unstable one
+        with pytest.raises(DomainError, match=message):
             ModelParams(coupling=coupling)
 
     def test_attractive_allowed(self):

@@ -110,6 +110,9 @@ class TestKinetic:
             kinetic_parametric(1.0, 1.0 - 1e-12)
         with pytest.raises(DomainError):
             kinetic_parametric(1.0, -0.1)
+        for bad in (1.0 - 1e-12, -0.1, float("nan")):
+            with pytest.raises(DomainError):
+                kinetic_parametric(1.0, np.array([0.1, bad]))
 
 
 class TestEnergyParametric:
@@ -153,8 +156,23 @@ class TestEnergyParametric:
         e_min = energy_parametric(P03, KernelSpec.sum_one(0.3), sol.xi_p).total
         assert e_min < e_ex - 1e-3
 
+    def test_array_matches_scalar_calls(self):
+        # the array path forms every term with the scalar path's operations
+        spec = KernelSpec.sum_one(0.37)
+        xs = np.linspace(0.0, 0.999, 257)
+        e = energy_parametric(P03, spec, xs)
+        scalar = [energy_parametric(P03, spec, float(x)) for x in xs]
+        for term in ("kinetic", "interaction", "total"):
+            got = getattr(e, term)
+            want = np.array([getattr(s, term) for s in scalar])
+            assert got.shape == xs.shape
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 4e-16, term
+        assert e.external == scalar[0].external
+
     def test_domain(self):
         spec = KernelSpec.sum_one(0.5)
+        with pytest.raises(DomainError):
+            energy_parametric(P03, spec, np.array([0.1, 1.0 - 1e-12]))
         with pytest.raises(DomainError):
             energy_parametric(ModelParams(coupling=-0.1), spec, 0.1)
         with pytest.raises(DomainError):

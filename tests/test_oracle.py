@@ -36,7 +36,6 @@ from harmonium.oracle import (
     _SCAN_RESCORE,
     _fsum,
     _golden_section,
-    _scan_energies,
     quad_1d,
     quad_2d,
     reference_basis,
@@ -125,7 +124,7 @@ class TestOneMatrixNumeric:
 
     def test_matches_series(self):
         f = derive_frequencies(P03)
-        spectrum = occupation_spectrum(f.xi, 1e-14)
+        spectrum = occupation_spectrum(f.xi)
         for x, xp in ((0.3, 1.1), (-2.0, 0.5), (1.7, 1.7)):
             series = one_matrix(spectrum, f.omega_bar, 1.0, x, xp)
             integral = one_matrix_numeric(P03, x, xp, check=False)
@@ -320,7 +319,7 @@ class TestScanMatchesScalarScan:
     def test_same_pick_and_result(self, lam, q):
         params, spec = ModelParams(coupling=lam), KernelSpec.sum_one(q)
         xs, scalar, expected = _scalar_scan(params, spec)
-        vector = _scan_energies(params, spec, xs)
+        vector = energy_parametric(params, spec, xs).total
         # the vectorised energies sit far inside the band that is rescored on the scalar path
         assert np.max(np.abs(vector - scalar) / np.abs(scalar)) < 1e-3 * _SCAN_RESCORE
         assert int(np.argmin(vector)) == int(np.argmin(scalar))
@@ -378,6 +377,20 @@ class TestVerification:
         names = [c["check"] for c in once]
         assert len(names) == len(set(names))
         assert names[0] == "psi_norm[lam=0.3]"
+
+    @pytest.mark.parametrize("lambdas, qs, tag", [
+        ((0.3, 0.30000001), (0.5,), "lam=0.3"),
+        ((0.3,), (0.4, 0.4000001), "q=0.4"),
+    ])
+    def test_distinct_values_sharing_a_tag_are_refused(self, monkeypatch, lambdas, qs, tag):
+        # refused before the first quadrature, so no check name can repeat
+        def no_quadrature(*a, **k):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr("harmonium.oracle.gauss_hermite_rule", no_quadrature)
+        with pytest.raises(DomainError, match="print as the check-name tags") as exc:
+            run_verification(lambdas=lambdas, qs=qs)
+        assert f"['{tag}', '{tag}']" in str(exc.value)
 
     def test_tamper_is_detected(self):
         report = run_verification(lambdas=(0.3,), qs=(0.5,), tamper=True)

@@ -45,7 +45,7 @@ class TestSpectrum:
             assert math.fsum(s.weights) + s.tail_mass == pytest.approx(1.0, abs=1e-13)
 
     def test_truncation_orders(self):
-        assert truncation_order(0.9, 1e-14) == 306
+        assert truncation_order(0.9) == 306
         assert occupation_spectrum(0.9).truncation == 306
         # reference-point xi is small enough to hit the lower clamp
         assert occupation_spectrum(ref.XI_03).truncation == 16
@@ -59,10 +59,6 @@ class TestSpectrum:
     def test_bad_xi(self, xi):
         with pytest.raises(DomainError):
             occupation_spectrum(xi)
-
-    def test_bad_tol(self):
-        with pytest.raises(DomainError):
-            occupation_spectrum(0.5, tol=0.0)
 
     @settings(max_examples=150, deadline=None)
     @given(xi=st.floats(0.0, 0.995))
