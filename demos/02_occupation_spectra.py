@@ -10,8 +10,10 @@ from harmonium import (
     ModelParams,
     derive_frequencies,
     dual_coupling,
-    entropy_report,
+    linear_entropy,
     occupation_spectrum,
+    purity,
+    quasiparticle_weight,
 )
 
 print("occupation spectra across the coupling range")
@@ -27,11 +29,10 @@ print("0.499 a few dozen orbitals carry all but 1e-14 of the mass")
 print()
 
 f = derive_frequencies(ModelParams(coupling=0.3))
-rep = entropy_report(f.xi)
 print(f"spectral measures at coupling 0.3 (xi = {f.xi:.6e})")
-print(f"  purity                (1-xi)/(1+xi) = {rep.purity:.12f}")
-print(f"  linear entropy        2 xi/(1+xi)   = {rep.linear_entropy:.12f}")
-print(f"  quasiparticle weight  (1-xi)^2      = {rep.quasiparticle_weight:.12f}")
+print(f"  purity                (1-xi)/(1+xi) = {purity(f.xi):.12f}")
+print(f"  linear entropy        2 xi/(1+xi)   = {linear_entropy(f.xi):.12f}")
+print(f"  quasiparticle weight  (1-xi)^2      = {quasiparticle_weight(f.xi):.12f}")
 print()
 
 print("sign duality: each repulsive coupling has an attractive partner")

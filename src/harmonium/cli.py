@@ -6,8 +6,9 @@ cross-checks as JSON), report (crossings, scaling exponents, mean-field
 summary).  Each takes only the flags its cmd_* reads (`_SUBCOMMANDS`),
 and argparse holds their types and defaults.  Outputs are
 CSV (comma separated, header row, LF, UTF-8, 17 significant digits) or
-JSON, written atomically when --out is given.  Each of sweep, figure1
-and report solves one batch of couplings per exponent.  The argument
+JSON, written atomically when --out is given; an --out that cannot be
+written is a domain error.  Each of sweep, figure1 and report solves
+one batch of couplings per exponent.  The argument
 parser is built once per process; `main` dispatches to the module's
 `cmd_<subcommand>` function by name at call time.
 
@@ -102,15 +103,18 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".harmonium-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, out)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".harmonium-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, out)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
+    except OSError as exc:
+        raise DomainError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _single_q(args) -> float:
@@ -135,7 +139,6 @@ def cmd_solve(args) -> int:
     sol = slv.solve_xi_p(params, q)
     e_p = energy_parametric(params, KernelSpec.sum_one(q), sol.xi_p)
     e_ex = exact_energy(params)
-    report = ent.entropy_report(sol.xi_p)
     record = {
         "omega0": params.omega0,
         "lambda": lam,
@@ -151,9 +154,9 @@ def cmd_solve(args) -> int:
         "e_interaction": e_p.interaction,
         "e_total": e_p.total,
         "e_exact": e_ex.total,
-        "purity": report.purity,
-        "linear_entropy": report.linear_entropy,
-        "quasiparticle_weight": report.quasiparticle_weight,
+        "purity": ent.purity(sol.xi_p),
+        "linear_entropy": ent.linear_entropy(sol.xi_p),
+        "quasiparticle_weight": ent.quasiparticle_weight(sol.xi_p),
     }
     if args.format == "json":
         _emit(_json_text(record), args.out)
@@ -234,7 +237,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    qs = args.q or [0.4, 0.3]
+    qs = list(dict.fromkeys(args.q or [0.4, 0.3]))
     params = ModelParams(omega0=args.omega0)
     curves = []
     for q in qs:

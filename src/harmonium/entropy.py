@@ -6,6 +6,9 @@ All measures are closed-form in the correlation parameter xi:
     linear entropy       1 - purity
     quasiparticle weight P_0 - P_1 = (1 - xi)^2
 
+Each is its own function of xi; a caller that wants all three calls all
+three.
+
 Because xi depends on the coupling only through (1 - 2*coupling)^(1/4),
 each repulsive coupling has an attractive partner with the same spectrum:
 
@@ -19,17 +22,13 @@ the variational and the exact spectrum needs a solve and lives in `solver`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
 from .spectral import _check_xi
 
 __all__ = [
-    "EntropyReport",
     "purity",
     "linear_entropy",
     "quasiparticle_weight",
-    "entropy_report",
     "dual_coupling",
 ]
 
@@ -51,24 +50,6 @@ def quasiparticle_weight(xi):
     w = 1.0 - _check_xi(xi)
     # a product, not **2: libm's pow and numpy's square can round apart
     return w * w
-
-
-@dataclass(frozen=True)
-class EntropyReport:
-    xi: float
-    purity: float
-    linear_entropy: float
-    quasiparticle_weight: float
-
-
-def entropy_report(xi: float) -> EntropyReport:
-    """Bundle the three spectral measures for a single xi."""
-    return EntropyReport(
-        xi=xi,
-        purity=purity(xi),
-        linear_entropy=linear_entropy(xi),
-        quasiparticle_weight=quasiparticle_weight(xi),
-    )
 
 
 def dual_coupling(coupling: float) -> float:

@@ -14,6 +14,9 @@ integrands factor into such Gaussians times entire cross terms; after
 mapping, the cross term exp(-b t1 t2) converges geometrically with ratio
 (b/2)^2 where b = (omega1 - omega2)/a < 2.  The ratio approaches 1 as
 omega2 -> 0, which is why the oracle window stops at coupling = 0.45.
+The pair kernel is tabulated once per rule: `run_verification` takes its
+mass and interaction checks from the same grid, and each grid builds its
+reference basis once for both powers gamma^q and gamma^(1-q).
 
 Every quadrature sum is exact before its one rounding (`_fsum`, bit for
 bit math.fsum's, with integer bins per power of two in numpy), so results
@@ -44,7 +47,6 @@ from .model import (
 from .mueller import KernelSpec, energy_parametric, kinetic_parametric
 from .solver import solve_xi_p
 from .spectral import (
-    OccupationSpectrum,
     ParametricState,
     occupation_spectrum,
     one_matrix,
@@ -59,7 +61,6 @@ __all__ = [
     "hamiltonian_expectation_numeric",
     "spectral_kinetic_sum",
     "kernel_interaction_numeric",
-    "kernel_integral_numeric",
     "brute_force_minimize",
     "run_verification",
 ]
@@ -299,14 +300,6 @@ def spectral_kinetic_sum(xi_p: float, omega_p: float) -> float:
     return math.fsum(contributions)
 
 
-def _reference_power_matrix(
-    spectrum: OccupationSpectrum, omega: float, power: float, nodes: np.ndarray
-) -> np.ndarray:
-    basis = reference_basis(spectrum.truncation, omega, nodes)
-    w = spectrum.weights ** power
-    return np.einsum("ng,n,nh->gh", basis, w, basis)
-
-
 def _check_state_matches(spec: KernelSpec, state: ParametricState):
     if state.q != spec.q:
         raise DomainError(f"state power q={state.q} and the kernel's q={spec.q} differ")
@@ -318,9 +311,16 @@ def _kernel_on_grid(
     _check_state_matches(spec, state)
     spectrum = occupation_spectrum(state.xi_p)
     n1 = density(params, rule.nodes)
-    gq = _reference_power_matrix(spectrum, state.omega_p, spec.q, rule.nodes)
-    gr = _reference_power_matrix(spectrum, state.omega_p, spec.r, rule.nodes)
+    basis = reference_basis(spectrum.truncation, state.omega_p, rule.nodes)
+    gq = np.einsum("ng,n,nh->gh", basis, spectrum.weights ** spec.q, basis)
+    gr = np.einsum("ng,n,nh->gh", basis, spectrum.weights ** spec.r, basis)
     return 2.0 * np.outer(n1, n1) - gq * gr
+
+
+def _interaction_on_grid(params: ModelParams, rule: QuadratureRule, kern: np.ndarray) -> float:
+    x1 = rule.nodes[:, None]
+    x2 = rule.nodes[None, :]
+    return quad_2d(rule, kern * (-0.5 * params.coupling * params.omega0 ** 2 * (x1 - x2) ** 2))
 
 
 def kernel_interaction_numeric(
@@ -343,26 +343,12 @@ def kernel_interaction_numeric(
         rule = gauss_hermite_rule(96, f.omega_s)
 
     def value(grid: QuadratureRule) -> float:
-        kern = _kernel_on_grid(params, spec, state, grid)
-        x1 = grid.nodes[:, None]
-        x2 = grid.nodes[None, :]
-        integrand = kern * (-0.5 * params.coupling * params.omega0 ** 2 * (x1 - x2) ** 2)
-        return quad_2d(grid, integrand)
+        return _interaction_on_grid(params, grid, _kernel_on_grid(params, spec, state, grid))
 
     base = value(rule)
     if check:
         _warn_if_shifted("kernel_interaction_numeric", base, value(_doubled(rule)))
     return base
-
-
-def kernel_integral_numeric(
-    params: ModelParams, spec: KernelSpec, state: ParametricState
-) -> float:
-    """Plain double integral of the pair kernel on a 96-node rule of per-axis
-    scale omega_s: 2 minus the gamma^q gamma^(1-q) mass, so 1."""
-    _check_oracle_window(params)
-    rule = gauss_hermite_rule(96, derive_frequencies(params).omega_s)
-    return quad_2d(rule, _kernel_on_grid(params, spec, state, rule))
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
@@ -442,7 +428,8 @@ def run_verification(
 
     Checks cover amplitude and density normalization, the one-matrix trace
     and a pointwise lattice comparison, the energy and virial balance, the
-    orbital-resolved kinetic sum, kernel mass and interaction integrals,
+    orbital-resolved kinetic sum, kernel mass and interaction integrals
+    (both from one kernel grid on the 96-node rule of scale omega_s),
     root-versus-scan minima, and node-doubling stability.  Interaction
     comparisons run at 1e-7 relative, loosened to 1e-6 for couplings at or
     beyond 0.449 where the quadrature ratio degrades.  A coupling outside
@@ -531,7 +518,8 @@ def run_verification(
             qtag = f"{tag},q={q:g}"
             inter_tol = 1e-6 if lam >= 0.449 else 1e-7
             closed_inter = energy_parametric(params, spec, sol.xi_p).interaction * skew
-            numeric_inter = kernel_interaction_numeric(params, spec, state, rule=dens_rule, check=False)
+            kern = _kernel_on_grid(params, spec, state, dens_rule)
+            numeric_inter = _interaction_on_grid(params, dens_rule, kern)
             checks.append(_entry(
                 f"kernel_interaction[{qtag}]", numeric_inter, closed_inter,
                 inter_tol, relative=True,
@@ -544,10 +532,7 @@ def run_verification(
                 numeric_inter, refined_inter, _DOUBLING_TOL, relative=False,
             ))
             checks.append(_entry(
-                f"kernel_mass[{qtag}]",
-                kernel_integral_numeric(params, spec, state),
-                1.0,
-                1e-9, relative=False,
+                f"kernel_mass[{qtag}]", quad_2d(dens_rule, kern), 1.0, 1e-9, relative=False,
             ))
             scan_xi, _ = brute_force_minimize(params, spec)
             checks.append(_entry(

@@ -377,6 +377,11 @@ class TestReport:
         assert code == 0
         assert out == (FIXTURES / "report_omega3_q045.json").read_bytes().decode("utf-8")
 
+    def test_repeated_q_is_reported_once(self, capsys):
+        once = run_cli(capsys, "report", "--q", "0.4")
+        assert run_cli(capsys, "report", "--q", "0.4", "--q", "0.4") == once
+        assert len(json.loads(once[1])["ratio_curves"]) == 1
+
     def test_failed_recovery_row_fails_the_report(self, capsys, monkeypatch):
         # a scan that stops at xi_p = 0.05 leaves the q = 1/2 recovery rows from
         # coupling 0.42 on without a sign change; none of them may be dropped
@@ -396,6 +401,19 @@ class TestOutput:
         assert text.startswith("omega0,") and text.endswith("\n")
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".harmonium-")]
         assert leftovers == []
+
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/x.csv", "No such file or directory"),
+        ("existing", "Is a directory"),
+    ])
+    def test_unwritable_out_is_a_domain_error(self, capsys, tmp_path, target, reason):
+        (tmp_path / "existing").mkdir()
+        out_path = tmp_path / target
+        code, out, err = run_cli(capsys, "solve", "--lambda", "0.3", "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write {out_path}: {reason}\n"
+        assert sorted(os.listdir(tmp_path)) == ["existing"]
+        assert os.listdir(tmp_path / "existing") == []
 
     def test_module_entry_point(self):
         proc = subprocess.run(

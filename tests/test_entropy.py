@@ -12,7 +12,6 @@ from harmonium import (
     derive_frequencies,
     dual_coupling,
     entropy_comparison,
-    entropy_report,
     linear_entropy,
     purity,
     quasiparticle_weight,
@@ -80,15 +79,6 @@ class TestClosedForms:
         assert np.all(np.diff([purity(v) for v in xi]) < 0.0)
         assert np.all(np.diff([linear_entropy(v) for v in xi]) > 0.0)
         assert np.all(np.diff([quasiparticle_weight(v) for v in xi]) < 0.0)
-
-
-class TestReport:
-    def test_fields(self):
-        rep = entropy_report(XI_03)
-        assert rep.xi == XI_03
-        assert rep.purity == purity(XI_03)
-        assert rep.linear_entropy == linear_entropy(XI_03)
-        assert rep.quasiparticle_weight == quasiparticle_weight(XI_03)
 
 
 class TestDuality:

@@ -18,7 +18,6 @@ from harmonium import (
     derive_frequencies,
     gauss_hermite_rule,
     hamiltonian_expectation_numeric,
-    kernel_integral_numeric,
     kernel_interaction_numeric,
     kinetic_parametric,
     occupation_spectrum,
@@ -29,6 +28,7 @@ from harmonium import (
     solve_xi_p,
     spectral_kinetic_sum,
 )
+from harmonium import oracle as orc
 from harmonium.mueller import energy_parametric
 from harmonium.oracle import (
     _FSUM_CHUNK,
@@ -36,6 +36,7 @@ from harmonium.oracle import (
     _SCAN_RESCORE,
     _fsum,
     _golden_section,
+    _kernel_on_grid,
     quad_1d,
     quad_2d,
     reference_basis,
@@ -203,7 +204,8 @@ class TestKernelNumeric:
         f = derive_frequencies(P03)
         st = parametric_state(f.omega_s, 0.5, f.xi)
         assert st.omega_p == pytest.approx(f.omega_bar, rel=1e-13)
-        got = kernel_integral_numeric(P03, KernelSpec.sum_one(0.5), st)
+        rule = gauss_hermite_rule(96, f.omega_s)
+        got = quad_2d(rule, _kernel_on_grid(P03, KernelSpec.sum_one(0.5), st, rule))
         assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_state_and_spec_must_share_powers(self):
@@ -212,8 +214,6 @@ class TestKernelNumeric:
         st = parametric_state(f.omega_s, 0.3, solve_xi_p(P03, 0.3).xi_p)
         with pytest.raises(DomainError, match="differ"):
             kernel_interaction_numeric(P03, spec, st, check=False)
-        with pytest.raises(DomainError, match="differ"):
-            kernel_integral_numeric(P03, spec, st)
 
 
 class TestBruteForce:
@@ -364,6 +364,25 @@ class TestVerification:
         masses = [c for c in default_report if c["check"].startswith("kernel_mass[")]
         assert len(masses) == 4
         assert all(c["reference"] == 1.0 for c in masses)
+
+    def test_one_kernel_grid_and_reference_basis_per_rule(self, monkeypatch):
+        # per (coupling, q): one grid for the mass and interaction checks, one for
+        # node doubling, each with one basis; spectral_kinetic_sum adds 3 per coupling
+        counts = {"_kernel_on_grid": 0, "reference_basis": 0}
+
+        def counted(name):
+            original = getattr(orc, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(orc, name, wrapper)
+
+        counted("_kernel_on_grid")
+        counted("reference_basis")
+        run_verification()
+        assert counts == {"_kernel_on_grid": 8, "reference_basis": 14}
 
     def test_entry_schema(self, default_report):
         for c in default_report:

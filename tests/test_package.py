@@ -26,11 +26,10 @@ EXPORTS = frozenset({
     "EntropyComparison", "entropy_comparison", "find_crossing",
     "scaling_exponent", "solve_batch", "solve_xi_p", "stationarity_lhs",
     "stationarity_rhs", "sweep",
-    "EntropyReport", "dual_coupling", "entropy_report", "linear_entropy",
-    "purity", "quasiparticle_weight",
+    "dual_coupling", "linear_entropy", "purity", "quasiparticle_weight",
     "ORACLE_LAMBDA_MAX", "QuadratureRule", "brute_force_minimize",
     "gauss_hermite_rule", "hamiltonian_expectation_numeric",
-    "kernel_integral_numeric", "kernel_interaction_numeric",
+    "kernel_interaction_numeric",
     "one_matrix_numeric", "run_verification", "spectral_kinetic_sum",
     "__version__",
 })
