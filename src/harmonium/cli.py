@@ -204,21 +204,21 @@ def cmd_figure1(args) -> int:
         grid = _parse_grid(args.lambda_grid)
     else:
         grid = [float(v) for v in np.linspace(0.005, 0.495, 99)]
-    batches = [(2, slv.solve_batch(0.4, grid)), (4, slv.solve_batch(0.3, grid))]
+    batches = [slv.solve_batch(0.4, grid), slv.solve_batch(0.3, grid)]
     rows = []
     failed = 0
     nan = float("nan")
     for i, lam in enumerate(grid):
-        row = [lam, nan, nan, nan, nan, nan]
         try:
             xi = derive_frequencies(ModelParams(coupling=lam)).xi
-            row[1] = xi
-            for slot, batch in batches:
-                xi_p = batch.solution(i).xi_p
-                row[slot] = xi_p
-                row[slot + 1] = xi_p / xi if xi > 0.0 else nan
-        except (DomainError, BracketError):
-            failed += 1
+        except DomainError:
+            xi = nan
+        row = [lam, xi]
+        # a failed batch row holds NaN in xi_p and blanks only its own q's columns
+        for batch in batches:
+            xi_p = float(batch.xi_p[i])
+            row += [xi_p, xi_p / xi if xi > 0.0 else nan]
+        failed += math.isnan(xi) or any(batch.errors[i] is not None for batch in batches)
         rows.append(row)
     if args.format == "json":
         payload = [dict(zip(_FIGURE1_HEADER, row)) for row in rows]

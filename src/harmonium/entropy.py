@@ -15,9 +15,8 @@ each repulsive coupling has an attractive partner with the same spectrum:
     dual_coupling(c) = -c / (1 - 2c),
 
 so every spectral measure is blind to the sign of the interaction once
-couplings are paired this way.  The comparison of these measures between
-the variational and the exact spectrum needs a solve and lives in `solver`
-(`entropy_comparison`).
+couplings are paired this way.  To compare the variational spectrum with
+the exact one, evaluate a measure at both xi_p (from `solver`) and xi.
 """
 
 from __future__ import annotations

@@ -72,21 +72,27 @@ LAMBDA_STABILITY = 0.5
 #: root finding become ill-conditioned as omega2 -> 0.
 LAMBDA_MAX = 0.4999
 
+#: Trap frequencies whose square (every energy carries omega0^2) stays a normal double.
+_OMEGA0_MIN = 1e-150
+_OMEGA0_MAX = 1e150
+
 
 @dataclass(frozen=True)
 class ModelParams:
     """Confinement frequency and dimensionless interaction strength.
 
     coupling > 0 is repulsive, coupling < 0 attractive.  Any coupling below
-    the stability bound 1/2 defines a valid bound state.
+    the stability bound 1/2 defines a valid bound state.  omega0 must lie in
+    [1e-150, 1e150], where omega0^2 neither overflows nor loses precision
+    as a subnormal.
     """
 
     omega0: float = 1.0
     coupling: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega0) and self.omega0 > 0.0):
-            raise DomainError(f"omega0 must be finite and positive, got {self.omega0}")
+        if not _OMEGA0_MIN <= self.omega0 <= _OMEGA0_MAX:
+            raise DomainError(f"omega0 must lie in [1e-150, 1e150], got {self.omega0}")
         if not math.isfinite(self.coupling):
             raise DomainError(f"coupling must be finite, got {self.coupling}")
         if not self.coupling < LAMBDA_STABILITY:

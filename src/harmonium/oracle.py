@@ -205,34 +205,39 @@ def reference_basis(n_max: int, omega: float, x) -> np.ndarray:
     return omega ** 0.25 * out
 
 
-def _warn_if_shifted(name: str, base: float, refined: float):
-    if abs(refined - base) > _DOUBLING_TOL:
+def _warn_if_shifted(name: str, base, refined):
+    shift = float(np.max(np.abs(refined - base)))
+    if shift > _DOUBLING_TOL:
         warnings.warn(
             f"{name}: doubling the quadrature nodes moved the value by "
-            f"{abs(refined - base):.3e} (> {_DOUBLING_TOL:.0e})",
+            f"{shift:.3e} (> {_DOUBLING_TOL:.0e})",
             AccuracyWarning,
             stacklevel=3,
         )
 
 
 def one_matrix_numeric(
-    params: ModelParams, x: float, xp: float, rule: QuadratureRule | None = None,
-    check: bool = True,
-) -> float:
+    params: ModelParams, x, xp, rule: QuadratureRule | None = None, check: bool = True,
+):
     """One-matrix element as the contraction integral of the pair amplitude.
 
-    Integrates psi(x, s) psi(xp, s) over the shared coordinate s.  With the
-    default rule the per-axis decay scale is (omega1 + omega2)/2, the exact
-    Gaussian content of the amplitude.
+    Integrates psi(x, s) psi(xp, s) over the shared coordinate s, one exact
+    quadrature sum per point; x and xp broadcast against each other, and a
+    scalar pair gives a float.  With the default rule the per-axis decay
+    scale is (omega1 + omega2)/2, the exact Gaussian content of the amplitude.
     """
     _check_oracle_window(params)
     f = derive_frequencies(params)
     if rule is None:
         rule = gauss_hermite_rule(96, 0.5 * (f.omega1 + f.omega2))
+    xs = np.asarray(x, dtype=float)[..., None]
+    xps = np.asarray(xp, dtype=float)[..., None]
 
-    def value(grid: QuadratureRule) -> float:
-        s = grid.nodes
-        return quad_1d(grid, wavefunction(params, x, s) * wavefunction(params, xp, s))
+    def value(grid: QuadratureRule):
+        amp = wavefunction(params, xs, grid.nodes) * wavefunction(params, xps, grid.nodes)
+        out = np.array([quad_1d(grid, row) for row in amp.reshape(-1, grid.count)])
+        out = out.reshape(amp.shape[:-1])
+        return float(out) if out.ndim == 0 else out
 
     base = value(rule)
     if check:
@@ -264,9 +269,8 @@ def hamiltonian_expectation_numeric(
         g2 = -sum_w * x2 - diff_w * x1
         kin = -0.5 * (g1 ** 2 + g2 ** 2 - 2.0 * sum_w) * psi2
         ext = 0.5 * params.omega0 ** 2 * (x1 ** 2 + x2 ** 2) * psi2
-        inter = -0.5 * params.coupling * params.omega0 ** 2 * (x1 - x2) ** 2 * psi2
         return EnergyBreakdown.from_terms(
-            quad_2d(grid, kin), quad_2d(grid, ext), quad_2d(grid, inter)
+            quad_2d(grid, kin), quad_2d(grid, ext), _interaction_on_grid(params, grid, psi2)
         )
 
     base = breakdown(rule)
@@ -280,24 +284,22 @@ def hamiltonian_expectation_numeric(
 def spectral_kinetic_sum(xi_p: float, omega_p: float) -> float:
     """Two-particle kinetic energy summed orbital by orbital.
 
-    Each orbital contributes the quadrature of (phi_n')^2 / 2 on a 96-node
-    rule of scale omega_p, with the derivative taken through the exact
-    ladder relation; the occupation-weighted sum times two (one factor per
-    particle) must land on the closed-form kinetic energy of the family.
+    Each orbital contributes the quadrature t_n of (phi_n')^2 / 2 on a
+    96-node rule of scale omega_p.  Every derivative comes from the exact
+    ladder relation sqrt(omega_p) (sqrt(n/2) phi_(n-1) - sqrt((n+1)/2)
+    phi_(n+1)), all orbitals in one array; the occupation-weighted sum of
+    2 t_n (one factor per particle) must land on the closed-form kinetic
+    energy of the family.
     """
     spectrum = occupation_spectrum(xi_p)
-    n_orb = spectrum.truncation
     rule = gauss_hermite_rule(96, omega_p)
-    basis = reference_basis(n_orb + 1, omega_p, rule.nodes)
-    root_w = math.sqrt(omega_p)
-    contributions = []
-    for n in range(n_orb):
-        dphi = -math.sqrt((n + 1.0) / 2.0) * basis[n + 1]
-        if n > 0:
-            dphi = dphi + math.sqrt(n / 2.0) * basis[n - 1]
-        t_n = 0.5 * quad_1d(rule, (root_w * dphi) ** 2)
-        contributions.append(2.0 * spectrum.weights[n] * t_n)
-    return math.fsum(contributions)
+    basis = reference_basis(spectrum.truncation + 1, omega_p, rule.nodes)
+    n = np.arange(spectrum.truncation, dtype=float)[:, None]
+    dphi = -np.sqrt((n + 1.0) / 2.0) * basis[1:]
+    dphi[1:] += np.sqrt(n[1:] / 2.0) * basis[:-2]
+    dphi *= math.sqrt(omega_p)
+    t = np.array([0.5 * quad_1d(rule, row ** 2) for row in dphi])
+    return math.fsum(2.0 * spectrum.weights * t)
 
 
 def _check_state_matches(spec: KernelSpec, state: ParametricState):
@@ -432,8 +434,12 @@ def run_verification(
     (both from one kernel grid on the 96-node rule of scale omega_s),
     root-versus-scan minima, and node-doubling stability.  Interaction
     comparisons run at 1e-7 relative, loosened to 1e-6 for couplings at or
-    beyond 0.449 where the quadrature ratio degrades.  A coupling outside
-    [0, ORACLE_LAMBDA_MAX] raises DomainError before its quadrature runs.
+    beyond 0.449 where the quadrature ratio degrades.  Absolute energy
+    tolerances are in units of omega0, and the one-matrix lattice spans
+    [-3, 3] trap lengths 1/sqrt(omega0) at a tolerance in units of
+    sqrt(omega0), so every check reads the same at every omega0.  A
+    coupling outside [0, ORACLE_LAMBDA_MAX] raises DomainError before its
+    quadrature runs.
 
     tamper=True skews the closed-form references by 2e-4 and is only there
     to prove the harness can fail (negative control).  A repeated coupling or
@@ -451,6 +457,7 @@ def run_verification(
     for lam in lambdas:
         params = ModelParams(omega0=omega0, coupling=float(lam))
         _check_oracle_window(params)
+        root_omega0 = math.sqrt(omega0)
         f = derive_frequencies(params)
         tag = f"lam={lam:g}"
         psi_rule = gauss_hermite_rule(96, 0.5 * (f.omega1 + f.omega2))
@@ -475,15 +482,13 @@ def run_verification(
             f"one_matrix_trace[{tag}]", quad_1d(dens_rule, diag), 1.0, 1e-9, relative=False,
         ))
 
-        lattice = np.linspace(-3.0, 3.0, 7)
-        worst = 0.0
-        for xa in lattice:
-            for xb in lattice:
-                series = one_matrix(spectrum, f.omega_bar, 1.0, float(xa), float(xb))
-                integral = one_matrix_numeric(params, float(xa), float(xb), check=False)
-                worst = max(worst, abs(series - integral))
+        lattice = np.linspace(-3.0, 3.0, 7) / root_omega0
+        x, xp = lattice[:, None], lattice[None, :]
+        series = one_matrix(spectrum, f.omega_bar, 1.0, x, xp)
+        integral = one_matrix_numeric(params, x, xp, check=False)
         checks.append(_entry(
-            f"one_matrix_lattice[{tag}]", worst, 0.0, 1e-8, relative=False,
+            f"one_matrix_lattice[{tag}]", float(np.max(np.abs(series - integral))), 0.0,
+            1e-8 * root_omega0, relative=False,
         ))
 
         numeric = hamiltonian_expectation_numeric(params, check=False)
@@ -493,12 +498,13 @@ def run_verification(
         ))
         checks.append(_entry(
             f"virial_balance[{tag}]",
-            numeric.kinetic, numeric.external + numeric.interaction, 1e-7, relative=False,
+            numeric.kinetic, numeric.external + numeric.interaction, 1e-7 * omega0,
+            relative=False,
         ))
         refined = hamiltonian_expectation_numeric(params, rule=_doubled(psi_rule), check=False)
         checks.append(_entry(
             f"node_doubling_hamiltonian[{tag}]",
-            numeric.total, refined.total, _DOUBLING_TOL, relative=False,
+            numeric.total, refined.total, _DOUBLING_TOL * omega0, relative=False,
         ))
 
         for xi_p in (0.0, 0.1, 0.3):
@@ -529,7 +535,7 @@ def run_verification(
             )
             checks.append(_entry(
                 f"node_doubling_kernel[{qtag}]",
-                numeric_inter, refined_inter, _DOUBLING_TOL, relative=False,
+                numeric_inter, refined_inter, _DOUBLING_TOL * omega0, relative=False,
             ))
             checks.append(_entry(
                 f"kernel_mass[{qtag}]", quad_2d(dens_rule, kern), 1.0, 1e-9, relative=False,

@@ -36,8 +36,7 @@ columns computed once per coupling.
 
 The ratio crossing xi_p = xi needs no solve: as q = 1/2 recovers the exact
 xi, `find_crossing` takes the root of lhs(q, xi) = lhs(1/2, xi) by the same
-Newton steps and maps it to a coupling in closed form.  `entropy_comparison`
-sets the linear entropy of one solved spectrum against the exact one.
+Newton steps and maps it to a coupling in closed form.
 """
 
 from __future__ import annotations
@@ -64,8 +63,6 @@ __all__ = [
     "solve_batch",
     "solve_xi_p",
     "sweep",
-    "EntropyComparison",
-    "entropy_comparison",
     "find_crossing",
     "scaling_exponent",
 ]
@@ -351,34 +348,6 @@ def sweep(params_base: ModelParams, q_list, lambda_grid) -> list[SweepRecord]:
                 linear_entropy(xi_p), l_ex, lam_dual, l_dual,
             ))
     return records
-
-
-@dataclass(frozen=True)
-class EntropyComparison:
-    """Linear entropies of the variational and exact spectra at one (coupling, q)."""
-
-    coupling: float
-    q: float
-    l_parametric: float
-    l_exact: float
-    ordering: int
-
-
-def entropy_comparison(params: ModelParams, q: float) -> EntropyComparison:
-    """Compare the variational linear entropy against the exact one.
-
-    ordering is sign(l_parametric - l_exact) with ties (|difference| below
-    1e-12) reported as 0; solver failures propagate.
-    """
-    f = derive_frequencies(params)
-    sol = solve_xi_p(params, q)
-    l_par = linear_entropy(sol.xi_p)
-    l_ex = linear_entropy(f.xi)
-    diff = l_par - l_ex
-    ordering = 0 if abs(diff) <= 1e-12 else (1 if diff > 0.0 else -1)
-    return EntropyComparison(
-        coupling=params.coupling, q=q, l_parametric=l_par, l_exact=l_ex, ordering=ordering
-    )
 
 
 def _crossing_gap(q: float, xi: float) -> tuple[float, float]:

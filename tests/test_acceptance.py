@@ -20,10 +20,10 @@ from harmonium import (
     brute_force_minimize,
     derive_frequencies,
     energy_parametric,
-    entropy_comparison,
     exact_energy,
     find_crossing,
     hartree_fock,
+    linear_entropy,
     run_verification,
     scaling_exponent,
     solve_xi_p,
@@ -124,11 +124,13 @@ def test_ratio_curves_cross_once():
         flips = int(np.count_nonzero(np.diff(signs)))
         endpoints_ok = ratios[0] > 1.0 and ratios[-1] < 1.0
         lam_ratio = find_crossing(BASE, q)
-        # independent route: bisect on the entropy-comparison ordering
+        # independent route: bisect on the sign of the linear-entropy difference
         lo, hi = 0.05, 0.45
         while hi - lo > 1e-8:
             mid = 0.5 * (lo + hi)
-            if entropy_comparison(ModelParams(coupling=mid), q).ordering >= 0:
+            params = ModelParams(coupling=mid)
+            l_par = linear_entropy(solve_xi_p(params, q).xi_p)
+            if l_par - linear_entropy(derive_frequencies(params).xi) >= 0.0:
                 lo = mid
             else:
                 hi = mid

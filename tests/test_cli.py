@@ -147,6 +147,18 @@ class TestSolve:
         header, row = (line.split(",") for line in out.splitlines())
         assert row[header.index("ratio")] == "nan"
 
+    @pytest.mark.parametrize("argv, omega0", [
+        (("solve", "--lambda", "0.3", "--q", "0.4"), "1e155"),
+        (("solve", "--lambda", "0.3", "--q", "0.4"), "1e-160"),
+        (("sweep", "--lambda-grid", "0.1:0.2:3"), "1e155"),
+        (("verify",), "-1"),
+        (("report",), "1e-200"),
+    ], ids=["solve-1e155", "solve-1e-160", "sweep-1e155", "verify--1", "report-1e-200"])
+    def test_omega0_outside_its_window_is_usage_error(self, capsys, argv, omega0):
+        code, out, err = run_cli(capsys, *argv, "--omega0", omega0)
+        assert code == 2 and out == ""
+        assert err == f"error: omega0 must lie in [1e-150, 1e150], got {float(omega0)}\n"
+
     def test_missing_coupling_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "solve")
         assert code == 2 and "error:" in err and out == ""
@@ -285,6 +297,16 @@ class TestFigure1:
         last = out.splitlines()[-1].split(",")
         assert last[1] != "nan" and last[2:] == ["nan"] * 4
 
+    def test_a_failed_exponent_keeps_the_other_ones_columns(self, capsys):
+        # at 1e-200 and 1e-175 only q = 0.4 falls below the decade floor; q = 0.3 solves
+        code, out, _ = run_cli(capsys, "figure1", "--lambda-grid", "1e-200:1e-150:3:log")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert code == 1
+        for row in rows[:2]:
+            assert row[2:4] == ["nan", "nan"]
+            assert float(row[4]) > 0.0
+        assert "nan" not in rows[2]
+
     @pytest.mark.parametrize("key, value", [("q", "0.2"), ("lambda", "0.3")])
     def test_q_and_lambda_are_usage_errors(self, capsys, key, value):
         # figure1 fixes its exponents and takes its couplings from --lambda-grid only
@@ -311,6 +333,22 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--lambda", "0.45", "--q", "0.3", "--q", "0.7")
         assert code == 0
         assert out == (FIXTURES / "verify_lambda045.json").read_bytes().decode("utf-8")
+
+    @pytest.mark.parametrize("fixture, argv", [
+        ("verify_lambda02731.json", ("--lambda", "0.2731", "--q", "0.3512", "--q", "0.6123")),
+        ("verify_lambda001.json", ("--lambda", "0.01", "--q", "0.31", "--q", "0.69")),
+    ], ids=["lambda0.2731", "lambda0.01"])
+    def test_off_default_couplings_match_frozen_bytes(self, capsys, fixture, argv):
+        # the fixtures hold the output of `python -m harmonium verify ARGV`
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0
+        assert out == (FIXTURES / fixture).read_bytes().decode("utf-8")
+
+    def test_tamper_matches_frozen_bytes(self, capsys):
+        # the fixture holds the output of `python -m harmonium verify --tamper`
+        code, out, _ = run_cli(capsys, "verify", "--tamper")
+        assert code == 1
+        assert out == (FIXTURES / "verify_tamper.json").read_bytes().decode("utf-8")
 
     def test_tamper_flips_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--lambda", "0.3", "--q", "0.5",

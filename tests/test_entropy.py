@@ -11,10 +11,10 @@ from harmonium import (
     ModelParams,
     derive_frequencies,
     dual_coupling,
-    entropy_comparison,
     linear_entropy,
     purity,
     quasiparticle_weight,
+    solve_xi_p,
 )
 
 XI_03 = ref.XI_03
@@ -107,24 +107,24 @@ class TestDuality:
             assert linear_entropy(g.xi) == pytest.approx(linear_entropy(f.xi), rel=1e-12)
 
 
+def entropies(coupling, q):
+    """Linear entropy of the stationary spectrum at exponent q, and of the exact one."""
+    params = ModelParams(coupling=coupling)
+    return (linear_entropy(solve_xi_p(params, q).xi_p),
+            linear_entropy(derive_frequencies(params).xi))
+
+
 class TestComparison:
     def test_square_root_exponent_is_exact(self):
-        cmp = entropy_comparison(ModelParams(coupling=0.3), 0.5)
-        assert cmp.ordering == 0
-        assert cmp.l_parametric == pytest.approx(cmp.l_exact, abs=1e-12)
-        assert cmp.l_exact == pytest.approx(ref.LINEAR_ENTROPY_03, rel=1e-13)
+        l_par, l_ex = entropies(0.3, 0.5)
+        assert l_par == pytest.approx(l_ex, abs=1e-12)
+        assert l_ex == pytest.approx(ref.LINEAR_ENTROPY_03, rel=1e-13)
 
     def test_ordering_flips_with_coupling(self):
         # weakly coupled: the stationary state overestimates the entanglement;
         # strongly coupled: it underestimates it
         for q in (0.4, 0.3):
-            low = entropy_comparison(ModelParams(coupling=0.05), q)
-            high = entropy_comparison(ModelParams(coupling=0.45), q)
-            assert low.ordering == 1
-            assert high.ordering == -1
-
-    def test_fields(self):
-        cmp = entropy_comparison(ModelParams(coupling=0.1), 0.4)
-        assert cmp.coupling == 0.1 and cmp.q == 0.4
-        assert 0.0 < cmp.l_parametric < 1.0
-        assert 0.0 < cmp.l_exact < 1.0
+            l_par, l_ex = entropies(0.05, q)
+            assert l_par - l_ex > 1e-12
+            l_par, l_ex = entropies(0.45, q)
+            assert l_par - l_ex < -1e-12

@@ -26,10 +26,15 @@ class TestParams:
         p = ModelParams()
         assert p.omega0 == 1.0 and p.coupling == 0.0
 
-    @pytest.mark.parametrize("omega0", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("omega0", [0.0, -1.0, float("nan"), float("inf"), 1e-160, 1e155])
     def test_bad_omega0(self, omega0):
-        with pytest.raises(DomainError):
+        # outside [1e-150, 1e150] omega0^2 overflows or turns subnormal
+        with pytest.raises(DomainError, match=r"omega0 must lie in \[1e-150, 1e150\]"):
             ModelParams(omega0=omega0)
+
+    @pytest.mark.parametrize("omega0", [1e-150, 1e150])
+    def test_omega0_window_is_closed(self, omega0):
+        assert exact_energy(ModelParams(omega0=omega0, coupling=0.3)).total > 0.0
 
     @pytest.mark.parametrize("coupling, message", [
         (0.5, "stability bound"), (0.7, "stability bound"), (float("nan"), "must be finite"),

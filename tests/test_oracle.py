@@ -131,6 +131,19 @@ class TestOneMatrixNumeric:
             integral = one_matrix_numeric(P03, x, xp, check=False)
             assert integral == pytest.approx(series, abs=1e-10)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.3, 0.45])
+    def test_broadcast_matches_scalar_calls(self, lam):
+        # one exact sum per point: the array route gives the scalar route's bits
+        params = ModelParams(coupling=lam)
+        lattice = np.linspace(-3.0, 3.0, 7)
+        got = one_matrix_numeric(params, lattice[:, None], lattice[None, :], check=False)
+        assert got.shape == (7, 7)
+        for i, x in enumerate(lattice):
+            for j, xp in enumerate(lattice):
+                want = one_matrix_numeric(params, float(x), float(xp), check=False)
+                assert isinstance(want, float)
+                assert got[i, j].hex() == want.hex()
+
     def test_oracle_window(self):
         with pytest.raises(DomainError):
             one_matrix_numeric(ModelParams(coupling=0.46), 0.0, 0.0)
@@ -139,6 +152,8 @@ class TestOneMatrixNumeric:
         rule = gauss_hermite_rule(8, 1.0)
         with pytest.warns(AccuracyWarning):
             one_matrix_numeric(P03, 0.7, -0.4, rule=rule, check=True)
+        with pytest.warns(AccuracyWarning):
+            one_matrix_numeric(P03, [0.0, 0.7], -0.4, rule=rule, check=True)
 
 
 class TestHamiltonianNumeric:
@@ -172,6 +187,23 @@ class TestKineticSum:
             got = spectral_kinetic_sum(xi_p, omega_p)
             want = kinetic_parametric(f.omega_s, xi_p)
             assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("xi_p, omega_p", [
+        (0.0, 1.0), (1e-9, 0.7), (0.1, 2.5), (0.3, 0.9), (0.45, 1.3), (0.6, 4.0),
+    ])
+    def test_matches_the_per_orbital_loop(self, xi_p, omega_p):
+        # the array expression keeps the bits of one ladder derivative per orbital
+        spectrum = occupation_spectrum(xi_p)
+        rule = gauss_hermite_rule(96, omega_p)
+        basis = reference_basis(spectrum.truncation + 1, omega_p, rule.nodes)
+        contributions = []
+        for n in range(spectrum.truncation):
+            dphi = -math.sqrt((n + 1.0) / 2.0) * basis[n + 1]
+            if n > 0:
+                dphi = dphi + math.sqrt(n / 2.0) * basis[n - 1]
+            t_n = 0.5 * orc.quad_1d(rule, (math.sqrt(omega_p) * dphi) ** 2)
+            contributions.append(2.0 * spectrum.weights[n] * t_n)
+        assert spectral_kinetic_sum(xi_p, omega_p).hex() == math.fsum(contributions).hex()
 
     def test_at_the_exact_state(self):
         f = derive_frequencies(P03)
@@ -383,6 +415,30 @@ class TestVerification:
         counted("reference_basis")
         run_verification()
         assert counts == {"_kernel_on_grid": 8, "reference_basis": 14}
+
+    def test_one_lattice_call_per_coupling(self, monkeypatch):
+        # the 7 x 7 lattice is one broadcast call, not one call per point
+        calls = []
+        original = orc.one_matrix_numeric
+
+        def wrapper(*args, **kwargs):
+            calls.append(args[1:3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(orc, "one_matrix_numeric", wrapper)
+        run_verification()
+        assert len(calls) == 2
+        assert all(np.shape(x) == (7, 1) and np.shape(xp) == (1, 7) for x, xp in calls)
+
+    @pytest.mark.parametrize("omega0", [1e-150, 1e-8, 2.5, 1e8, 1e20, 1e150])
+    def test_passes_at_every_omega0(self, omega0):
+        # tolerances and lattice are in units of omega0, so the checks are the same ones
+        report = run_verification(omega0=omega0, lambdas=(0.3,), qs=(0.4,))
+        failed = [c["check"] for c in report if not c["pass"]]
+        assert failed == []
+        tolerances = {c["check"]: c["tolerance"] for c in report}
+        assert tolerances["virial_balance[lam=0.3]"] == 1e-7 * omega0
+        assert tolerances["one_matrix_lattice[lam=0.3]"] == 1e-8 * math.sqrt(omega0)
 
     def test_entry_schema(self, default_report):
         for c in default_report:

@@ -23,7 +23,7 @@ EXPORTS = frozenset({
     "XI_P_MAX", "KernelSpec", "energy_parametric", "interaction_bracket",
     "kinetic_parametric",
     "Q_MAX", "Q_MIN", "BatchSolution", "StationaritySolution", "SweepRecord",
-    "EntropyComparison", "entropy_comparison", "find_crossing",
+    "find_crossing",
     "scaling_exponent", "solve_batch", "solve_xi_p", "stationarity_lhs",
     "stationarity_rhs", "sweep",
     "dual_coupling", "linear_entropy", "purity", "quasiparticle_weight",
