@@ -21,12 +21,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import functools
 import io
 import json
 import math
-import operator
 import os
 import sys
 import tempfile
@@ -75,12 +73,13 @@ def _parse_grid(text: str) -> list[float]:
     return [float(v) for v in np.linspace(start, stop, count)]
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(rows: list[dict]) -> str:
+    """The rows under a header of the first row's keys."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(rows[0])
     for row in rows:
-        writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+        writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row.values()])
     return buf.getvalue()
 
 
@@ -115,6 +114,12 @@ def _emit(text: str, out: str | None):
             raise
     except OSError as exc:
         raise DomainError(f"cannot write {out}: {exc.strerror}") from None
+
+
+def _emit_table(args, rows: list[dict], failed: int) -> int:
+    """Write the rows as CSV or as a JSON list; exit code 1 when over a tenth failed."""
+    _emit(_json_text(rows) if args.format == "json" else _csv_text(rows), args.out)
+    return 1 if failed > 0.1 * len(rows) else 0
 
 
 def _single_q(args) -> float:
@@ -158,21 +163,8 @@ def cmd_solve(args) -> int:
         "linear_entropy": ent.linear_entropy(sol.xi_p),
         "quasiparticle_weight": ent.quasiparticle_weight(sol.xi_p),
     }
-    if args.format == "json":
-        _emit(_json_text(record), args.out)
-    else:
-        _emit(_csv_text(list(record), [list(record.values())]), args.out)
+    _emit(_json_text(record) if args.format == "json" else _csv_text([record]), args.out)
     return 0
-
-
-_SWEEP_HEADER = [
-    "q", "lambda", "xi", "xi_p", "ratio", "e_p_total", "e_ex_total",
-    "purity", "linear_entropy", "linear_entropy_exact",
-    "dual_lambda", "dual_linear_entropy", "error",
-]
-
-# SweepRecord's fields in declared order; dataclasses.astuple would deep-copy every cell
-_sweep_row = operator.attrgetter(*(f.name for f in dataclasses.fields(slv.SweepRecord)))
 
 
 def _grid_from_args(args) -> list[float]:
@@ -189,14 +181,8 @@ def cmd_sweep(args) -> int:
     grid = _grid_from_args(args)
     qs = args.q if args.q else [0.5, 0.4, 0.3]
     params = ModelParams(omega0=args.omega0)
-    records = slv.sweep(params, qs, grid)
-    if args.format == "json":
-        payload = [dict(zip(_SWEEP_HEADER, _sweep_row(r))) for r in records]
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(_csv_text(_SWEEP_HEADER, [_sweep_row(r) for r in records]), args.out)
-    failed = sum(1 for r in records if r.error is not None)
-    return 1 if failed > 0.1 * len(records) else 0
+    rows = slv.sweep(params, qs, grid)
+    return _emit_table(args, rows, sum(r["error"] is not None for r in rows))
 
 
 def cmd_figure1(args) -> int:
@@ -218,14 +204,10 @@ def cmd_figure1(args) -> int:
         for batch in batches:
             xi_p = float(batch.xi_p[i])
             row += [xi_p, xi_p / xi if xi > 0.0 else nan]
-        failed += math.isnan(xi) or any(batch.errors[i] is not None for batch in batches)
-        rows.append(row)
-    if args.format == "json":
-        payload = [dict(zip(_FIGURE1_HEADER, row)) for row in rows]
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(_csv_text(_FIGURE1_HEADER, rows), args.out)
-    return 1 if failed > 0.1 * len(rows) else 0
+        # xi is NaN only where ModelParams refused lam, and then both batch rows failed too
+        failed += any(batch.errors[i] is not None for batch in batches)
+        rows.append(dict(zip(_FIGURE1_HEADER, row)))
+    return _emit_table(args, rows, failed)
 
 
 def cmd_verify(args) -> int:
@@ -250,12 +232,13 @@ def cmd_report(args) -> int:
 
     lam_grid = [float(v) for v in np.linspace(0.02, 0.44, 22)]
     recovery = slv.sweep(params, [0.5], lam_grid)
-    for rec in recovery:
-        if rec.error is not None:
-            raise BracketError(rec.error)
-    max_xi_gap = max([0.0] + [abs(r.xi_p - r.xi) for r in recovery])
-    max_energy_gap = max([0.0] + [abs(r.e_p_total - r.e_ex_total) / r.e_ex_total for r in recovery])
-    max_duality_gap = max([0.0] + [abs(r.linear_entropy_exact - r.dual_linear_entropy)
+    for r in recovery:
+        if r["error"] is not None:
+            raise BracketError(r["error"])
+    max_xi_gap = max([0.0] + [abs(r["xi_p"] - r["xi"]) for r in recovery])
+    max_energy_gap = max([0.0] + [abs(r["e_p_total"] - r["e_ex_total"]) / r["e_ex_total"]
+                                  for r in recovery])
+    max_duality_gap = max([0.0] + [abs(r["linear_entropy_exact"] - r["dual_linear_entropy"])
                                    for r in recovery])
 
     mean_field = []

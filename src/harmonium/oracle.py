@@ -69,6 +69,7 @@ __all__ = [
 #: towards 1 and the advertised tolerances no longer hold.
 ORACLE_LAMBDA_MAX = 0.45
 
+#: Largest move under doubled nodes, in units of omega0 (energies) or sqrt(omega0) (one-matrix).
 _DOUBLING_TOL = 1e-9
 _REFERENCE_N_MAX = 170  # unnormalized Hermite values overflow soon after
 _GAUSS_HERMITE_N_MAX = 370  # hermgauss weights are all 0 at 371 nodes, inf/NaN after
@@ -205,12 +206,13 @@ def reference_basis(n_max: int, omega: float, x) -> np.ndarray:
     return omega ** 0.25 * out
 
 
-def _warn_if_shifted(name: str, base, refined):
+def _warn_if_shifted(name: str, base, refined, unit: float):
+    """Warn when doubling the nodes moved the value by more than _DOUBLING_TOL of its unit."""
     shift = float(np.max(np.abs(refined - base)))
-    if shift > _DOUBLING_TOL:
+    if shift > _DOUBLING_TOL * unit:
         warnings.warn(
             f"{name}: doubling the quadrature nodes moved the value by "
-            f"{shift:.3e} (> {_DOUBLING_TOL:.0e})",
+            f"{shift:.3e} (> {_DOUBLING_TOL * unit:.2g})",
             AccuracyWarning,
             stacklevel=3,
         )
@@ -241,7 +243,8 @@ def one_matrix_numeric(
 
     base = value(rule)
     if check:
-        _warn_if_shifted(f"one_matrix_numeric(x={x}, xp={xp})", base, value(_doubled(rule)))
+        _warn_if_shifted(f"one_matrix_numeric(x={x}, xp={xp})", base, value(_doubled(rule)),
+                         math.sqrt(params.omega0))
     return base
 
 
@@ -275,9 +278,8 @@ def hamiltonian_expectation_numeric(
 
     base = breakdown(rule)
     if check:
-        _warn_if_shifted(
-            "hamiltonian_expectation_numeric", base.total, breakdown(_doubled(rule)).total
-        )
+        _warn_if_shifted("hamiltonian_expectation_numeric", base.total,
+                         breakdown(_doubled(rule)).total, params.omega0)
     return base
 
 
@@ -349,7 +351,7 @@ def kernel_interaction_numeric(
 
     base = value(rule)
     if check:
-        _warn_if_shifted("kernel_interaction_numeric", base, value(_doubled(rule)))
+        _warn_if_shifted("kernel_interaction_numeric", base, value(_doubled(rule)), params.omega0)
     return base
 
 

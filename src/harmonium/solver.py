@@ -30,9 +30,9 @@ a step would leave the bracket, until each sign-change bracket is narrower
 than 1e-15 relative.  That tolerance is fixed, because it is what keeps
 every root residual at or below 1e-13 * max(1, rhs).  `solve_xi_p` is a
 batch of one on the same path, and `sweep`, `scaling_exponent` and the CLI
-make one `solve_batch` call per q.
-`sweep` alone turns solved rows into records, with the q-independent
-columns computed once per coupling.
+make one `solve_batch` call per q.  Its records hold results, not their
+inputs; `sweep` alone turns solved rows into dicts keyed by their column
+names, with the q-independent columns computed once per coupling.
 
 The ratio crossing xi_p = xi needs no solve: as q = 1/2 recovers the exact
 xi, `find_crossing` takes the root of lhs(q, xi) = lhs(1/2, xi) by the same
@@ -50,14 +50,13 @@ import numpy as np
 from .entropy import dual_coupling, linear_entropy, purity
 from .errors import BracketError, DomainError, NoCrossingError
 from .model import LAMBDA_MAX, ModelParams, derive_frequencies, exact_energy
-from .mueller import KernelSpec, energy_parametric
+from .mueller import XI_P_MAX, KernelSpec, energy_parametric
 
 __all__ = [
     "Q_MIN",
     "Q_MAX",
     "StationaritySolution",
     "BatchSolution",
-    "SweepRecord",
     "stationarity_lhs",
     "stationarity_rhs",
     "solve_batch",
@@ -72,7 +71,7 @@ Q_MIN = 0.3
 Q_MAX = 0.7
 
 #: Logarithmic grid on which every batch brackets its roots.
-_SCAN = np.geomspace(1e-12, 1.0 - 1e-9, 2048)
+_SCAN = np.geomspace(1e-12, XI_P_MAX, 2048)
 _SCAN.flags.writeable = False
 #: The decades below the scan window reach down to the first one at or below this xi_p.
 _WALK_FLOOR = 1e-290
@@ -83,35 +82,21 @@ _TOL = 1e-15
 _CROSSING_COUPLINGS = (1e-3, LAMBDA_MAX)
 
 
+#: The columns of a sweep row, in table order.
+_SWEEP_COLUMNS = (
+    "q", "lambda", "xi", "xi_p", "ratio", "e_p_total", "e_ex_total", "purity", "linear_entropy",
+    "linear_entropy_exact", "dual_lambda", "dual_linear_entropy", "error",
+)
+
+
 @dataclass(frozen=True)
 class StationaritySolution:
-    """Root of the stationarity condition for one (coupling, q) pair."""
+    """Root of the stationarity condition at one (coupling, q) pair, without the pair."""
 
-    coupling: float
-    q: float
     xi_p: float
     rhs: float
     iterations: int
     residual: float
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One (q, coupling) point of a sweep; a failed row holds NaN and the error text."""
-
-    q: float
-    coupling: float
-    xi: float
-    xi_p: float
-    ratio: float
-    e_p_total: float
-    e_ex_total: float
-    purity: float
-    linear_entropy: float
-    linear_entropy_exact: float
-    dual_coupling: float
-    dual_linear_entropy: float
-    error: str | None = None
 
 
 def _check_q(q: float):
@@ -172,11 +157,10 @@ class BatchSolution:
 
     A failed row (a coupling outside [0, LAMBDA_MAX], or no sign change in
     the scan) keeps its DomainError or BracketError in `errors` and NaN in
-    `xi_p` and `residual`; `solution(i)` re-raises it.
+    `xi_p` and `residual`; `solution(i)` re-raises it.  Row i belongs to the
+    i-th coupling of the call, which the record does not echo.
     """
 
-    q: float
-    couplings: tuple[float, ...]
     rhs: np.ndarray
     xi_p: np.ndarray
     iterations: np.ndarray
@@ -190,8 +174,7 @@ class BatchSolution:
             # a row's error can be raised more than once; each raise starts a fresh traceback
             raise error.with_traceback(None)
         return StationaritySolution(
-            self.couplings[i], self.q, float(self.xi_p[i]), float(self.rhs[i]),
-            int(self.iterations[i]), float(self.residual[i]),
+            float(self.xi_p[i]), float(self.rhs[i]), int(self.iterations[i]), float(self.residual[i])
         )
 
 
@@ -305,49 +288,49 @@ def _solve(q: float, couplings) -> BatchSolution:
     xi_p[rows] = root
     iterations[rows] = steps
     residual[rows] = np.abs(stationarity_lhs(q, root) - r)
-    return BatchSolution(q, lams, rhs, xi_p, iterations, residual, tuple(errors))
+    return BatchSolution(rhs, xi_p, iterations, residual, tuple(errors))
 
 
-def sweep(params_base: ModelParams, q_list, lambda_grid) -> list[SweepRecord]:
-    """Solve every (q, coupling) pair and collect records, q-major then
+def sweep(params_base: ModelParams, q_list, lambda_grid) -> list[dict]:
+    """Solve every (q, coupling) pair and collect rows, q-major then
     coupling-minor, both ascending.
 
-    The columns that do not depend on q (xi, the exact energy and entropy,
-    the dual coupling and its entropy) are computed once per coupling in
-    [0, LAMBDA_MAX]; every other coupling fails its solve at every q.  Each
-    q is one `solve_batch` call over the whole grid, and a row that fails
-    holds the solver's error text in its error field instead of raising.
-    Only the two energy columns depend on params_base's omega0.
+    Each row is a dict keyed by the sweep table's column names, in table
+    order.  Each q is one `solve_batch` call over the whole grid, and a row
+    that fails holds NaN and the solver's error text in "error" instead of
+    raising; the solver alone decides which couplings fail.  The columns
+    that do not depend on q (xi, the exact energy and entropy, the dual
+    coupling and its entropy) are computed once per coupling, on its first
+    solved row.  Only the two energy columns depend on params_base's omega0.
     """
     nan = math.nan
     qs = sorted(set(float(q) for q in q_list))
     lams = sorted(set(float(lam) for lam in lambda_grid))
     exact = {}
-    for lam in lams:
-        if 0.0 <= lam <= LAMBDA_MAX:
-            params = replace(params_base, coupling=lam)
-            xi = derive_frequencies(params).xi
-            lam_dual = l_dual = nan
-            if lam > 0.0:
-                lam_dual = dual_coupling(lam)
-                l_dual = linear_entropy(derive_frequencies(ModelParams(coupling=lam_dual)).xi)
-            exact[lam] = (params, xi, exact_energy(params).total, linear_entropy(xi),
-                          lam_dual, l_dual)
-    records = []
+    rows = []
     for q in qs:
         batch = solve_batch(q, lams)
         spec = KernelSpec.sum_one(q)
         for lam, xi_p, error in zip(lams, batch.xi_p.tolist(), batch.errors):
             if error is not None:
-                records.append(SweepRecord(q, lam, *[nan] * 10, error=str(error)))
+                rows.append(dict(zip(_SWEEP_COLUMNS, (q, lam, *[nan] * 10, str(error)))))
                 continue
+            if lam not in exact:
+                params = replace(params_base, coupling=lam)
+                xi = derive_frequencies(params).xi
+                lam_dual = l_dual = nan
+                if lam > 0.0:
+                    lam_dual = dual_coupling(lam)
+                    l_dual = linear_entropy(derive_frequencies(ModelParams(coupling=lam_dual)).xi)
+                exact[lam] = (params, xi, exact_energy(params).total, linear_entropy(xi),
+                              lam_dual, l_dual)
             params, xi, e_ex, l_ex, lam_dual, l_dual = exact[lam]
-            records.append(SweepRecord(
+            rows.append(dict(zip(_SWEEP_COLUMNS, (
                 q, lam, xi, xi_p, xi_p / xi if xi > 0.0 else nan,
                 energy_parametric(params, spec, xi_p).total, e_ex, purity(xi_p),
-                linear_entropy(xi_p), l_ex, lam_dual, l_dual,
-            ))
-    return records
+                linear_entropy(xi_p), l_ex, lam_dual, l_dual, None,
+            ))))
+    return rows
 
 
 def _crossing_gap(q: float, xi: float) -> tuple[float, float]:

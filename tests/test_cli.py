@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import reference_values as ref
-from harmonium import cli
+from harmonium import ModelParams, cli
 from harmonium import oracle as orc
+from harmonium import solver as slv
 from harmonium.cli import main
 from harmonium.errors import BracketError
 
@@ -250,6 +251,22 @@ class TestSweep:
         lams = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
         assert lams == pytest.approx([1e-3, 1e-2, 1e-1], rel=1e-12)
 
+    def test_row_keys_are_the_csv_header(self, capsys):
+        # failed rows (-0.1, 0.5) carry the same keys as solved ones
+        code, out, _ = run_cli(capsys, "sweep", "--lambda-grid=-0.1:0.5:4", "--q", "0.4")
+        assert code == 1
+        header = out.splitlines()[0].split(",")
+        rows = slv.sweep(ModelParams(), [0.4], [-0.1, 0.1, 0.3, 0.5])
+        assert [row["error"] is None for row in rows] == [False, True, True, False]
+        assert all(list(row) == header for row in rows)
+
+    def test_json_with_failed_rows_matches_frozen_bytes(self, capsys):
+        # the fixture holds the output of
+        # `python -m harmonium sweep --lambda-grid=-0.2:0.6:17 --q 0.5 --q 0.4 --format json`
+        code, out, _ = run_cli(capsys, "sweep", "--lambda-grid=-0.2:0.6:17",
+                               "--q", "0.5", "--q", "0.4", "--format", "json")
+        assert code == 1
+        assert out == (FIXTURES / "sweep_out_of_window.json").read_bytes().decode("utf-8")
 
     @pytest.mark.parametrize(
         "fixture, grid, qs, exit_code", SWEEP_FIXTURES, ids=[f"{f}-{g}" for f, g, *_ in SWEEP_FIXTURES]
@@ -296,6 +313,14 @@ class TestFigure1:
         assert out == (FIXTURES / "figure1_edge.csv").read_bytes().decode("utf-8")
         last = out.splitlines()[-1].split(",")
         assert last[1] != "nan" and last[2:] == ["nan"] * 4
+
+    def test_past_the_edge_json_matches_frozen_bytes(self, capsys):
+        # the fixture holds the output of
+        # `python -m harmonium figure1 --lambda-grid 0.4998:0.49995:4 --format json`
+        code, out, _ = run_cli(capsys, "figure1", "--lambda-grid", "0.4998:0.49995:4",
+                               "--format", "json")
+        assert code == 1
+        assert out == (FIXTURES / "figure1_edge.json").read_bytes().decode("utf-8")
 
     def test_a_failed_exponent_keeps_the_other_ones_columns(self, capsys):
         # at 1e-200 and 1e-175 only q = 0.4 falls below the decade floor; q = 0.3 solves

@@ -14,7 +14,7 @@ import pytest
 ROOT = Path(__file__).parents[1]
 MODULES = sorted(
     path
-    for folder in ("src/harmonium", "tests", "demos")
+    for folder in ("src/harmonium", "tests", "demos", "tools", "benchmark")
     for path in (ROOT / folder).glob("*.py")
 )
 

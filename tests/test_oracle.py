@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,21 @@ class TestKernelNumeric:
         st = parametric_state(f.omega_s, 0.3, solve_xi_p(P03, 0.3).xi_p)
         with pytest.raises(DomainError, match="differ"):
             kernel_interaction_numeric(P03, spec, st, check=False)
+
+
+@pytest.mark.parametrize("omega0", [1e8, 1e20])
+def test_doubling_check_reads_in_the_values_unit(omega0):
+    # converged default rules: the shift under doubled nodes is measured in
+    # omega0 for the energies and in sqrt(omega0) for the one-matrix
+    params = ModelParams(omega0=omega0, coupling=0.3)
+    f = derive_frequencies(params)
+    state = parametric_state(f.omega_s, 0.4, solve_xi_p(params, 0.4).xi_p)
+    lattice = np.linspace(-3.0, 3.0, 7) / math.sqrt(omega0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        hamiltonian_expectation_numeric(params)
+        kernel_interaction_numeric(params, KernelSpec.sum_one(0.4), state)
+        one_matrix_numeric(params, lattice[:, None], lattice[None, :])
 
 
 class TestBruteForce:

@@ -22,8 +22,7 @@ EXPORTS = frozenset({
     "truncation_order",
     "XI_P_MAX", "KernelSpec", "energy_parametric", "interaction_bracket",
     "kinetic_parametric",
-    "Q_MAX", "Q_MIN", "BatchSolution", "StationaritySolution", "SweepRecord",
-    "find_crossing",
+    "Q_MAX", "Q_MIN", "BatchSolution", "StationaritySolution", "find_crossing",
     "scaling_exponent", "solve_batch", "solve_xi_p", "stationarity_lhs",
     "stationarity_rhs", "sweep",
     "dual_coupling", "linear_entropy", "purity", "quasiparticle_weight",

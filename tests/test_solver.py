@@ -141,7 +141,6 @@ class TestSolve:
 
     def test_solution_record_fields(self):
         sol = solve_xi_p(P03, 0.4)
-        assert sol.coupling == 0.3 and sol.q == 0.4
         assert sol.rhs == pytest.approx(ref.RHS_03, rel=1e-14)
         assert 0 < sol.iterations < 200
 
@@ -170,41 +169,51 @@ class TestSolve:
 
 class TestSweep:
     def test_ordering_and_shape(self):
-        recs = sweep(BASE, [0.5, 0.4], [0.3, 0.1, 0.2])
-        assert len(recs) == 6
-        assert [r.q for r in recs] == [0.4, 0.4, 0.4, 0.5, 0.5, 0.5]
-        assert [r.coupling for r in recs] == [0.1, 0.2, 0.3, 0.1, 0.2, 0.3]
+        rows = sweep(BASE, [0.5, 0.4], [0.3, 0.1, 0.2])
+        assert len(rows) == 6
+        assert [r["q"] for r in rows] == [0.4, 0.4, 0.4, 0.5, 0.5, 0.5]
+        assert [r["lambda"] for r in rows] == [0.1, 0.2, 0.3, 0.1, 0.2, 0.3]
 
     def test_record_content(self):
-        recs = sweep(BASE, [0.5], [0.3])
-        r = recs[0]
+        rows = sweep(BASE, [0.5], [0.3])
+        r = rows[0]
         f = derive_frequencies(P03)
-        assert r.xi == pytest.approx(f.xi, rel=1e-14)
-        assert r.ratio == pytest.approx(1.0, abs=1e-10)
-        assert r.e_p_total == pytest.approx(ref.E_TOTAL_03, rel=1e-12)
-        assert r.e_ex_total == pytest.approx(ref.E_TOTAL_03, rel=1e-13)
-        assert r.dual_coupling == pytest.approx(ref.DUAL_COUPLING_03, rel=1e-14)
-        assert r.dual_linear_entropy == pytest.approx(r.linear_entropy_exact, abs=1e-12)
-        assert r.error is None
+        assert r["xi"] == pytest.approx(f.xi, rel=1e-14)
+        assert r["ratio"] == pytest.approx(1.0, abs=1e-10)
+        assert r["e_p_total"] == pytest.approx(ref.E_TOTAL_03, rel=1e-12)
+        assert r["e_ex_total"] == pytest.approx(ref.E_TOTAL_03, rel=1e-13)
+        assert r["dual_lambda"] == pytest.approx(ref.DUAL_COUPLING_03, rel=1e-14)
+        assert r["dual_linear_entropy"] == pytest.approx(r["linear_entropy_exact"], abs=1e-12)
+        assert r["error"] is None
 
     def test_failures_are_recorded_not_raised(self):
-        recs = sweep(BASE, [0.5], [0.3, 0.49995])
-        good = [r for r in recs if r.error is None]
-        bad = [r for r in recs if r.error is not None]
+        rows = sweep(BASE, [0.5], [0.3, 0.49995])
+        good = [r for r in rows if r["error"] is None]
+        bad = [r for r in rows if r["error"] is not None]
         assert len(good) == 1 and len(bad) == 1
-        assert math.isnan(bad[0].xi_p)
-        assert "coupling" in bad[0].error
+        assert math.isnan(bad[0]["xi_p"])
+        assert "coupling" in bad[0]["error"]
 
     def test_uncoupled_row_has_undefined_ratio(self):
         r = sweep(BASE, [0.5], [0.0])[0]
-        assert r.xi_p == 0.0 and math.isnan(r.ratio)
-        assert math.isnan(r.dual_coupling)
-        assert r.error is None
+        assert r["xi_p"] == 0.0 and math.isnan(r["ratio"])
+        assert math.isnan(r["dual_lambda"])
+        assert r["error"] is None
 
     def test_tiny_coupling_ratio_at_square_root_exponent(self):
         # xi and xi_p both keep their relative accuracy at coupling 1e-9
         r = sweep(BASE, [0.5], [1e-9])[0]
-        assert abs(r.ratio - 1.0) <= 1e-13
+        assert abs(r["ratio"] - 1.0) <= 1e-13
+
+    def test_q_independent_columns_once_per_solved_coupling(self, monkeypatch):
+        # -0.1 and 0.49995 fail their solves, so only 0.3 needs the exact columns
+        calls = []
+        exact_energy = solver_module.exact_energy
+        monkeypatch.setattr(solver_module, "exact_energy",
+                            lambda params: calls.append(params) or exact_energy(params))
+        rows = sweep(BASE, [0.5], [-0.1, 0.3, 0.49995])
+        assert [r["error"] is None for r in rows] == [False, True, False]
+        assert calls == [ModelParams(coupling=0.3)]
 
 
 class TestBatch:
