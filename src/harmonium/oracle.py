@@ -19,10 +19,10 @@ mass and interaction checks from the same grid, and each grid builds its
 reference basis once for both powers gamma^q and gamma^(1-q).
 
 Every quadrature sum is exact before its one rounding (`_fsum`, bit for
-bit math.fsum's, with integer bins per power of two in numpy), so results
-are deterministic and independent of evaluation order.  The sum is kept
-here rather than shared, which keeps the oracle independent of the layers
-it checks.
+bit math.fsum's: integer bins per power of two in numpy, carried below
+2**27 and folded 24 bins to one exact float), so results are deterministic
+and independent of evaluation order.  The sum is kept here rather than
+shared, which keeps the oracle independent of the layers it checks.
 """
 
 from __future__ import annotations
@@ -130,10 +130,14 @@ def _doubled(rule: QuadratureRule) -> QuadratureRule:
 
 #: Every finite double is k * 2**(e - 53) with frexp's exponent e in [-1073, 1024]
 #: and an integer |k| < 2**53; bin e + 1073 takes the low 26 bits of k, bin
-#: e + 1073 + 26 the rest, and bin b is worth 2**(b - _FSUM_SHIFT).
+#: e + 1073 + 26 the rest, and bin b is worth 2**(b - _FSUM_SHIFT).  The bins
+#: carry into 26 more at the top and round up to whole groups of _FSUM_GROUP.
 _FSUM_EXP_OFFSET = 1073
 _FSUM_SHIFT = _FSUM_EXP_OFFSET + 53
-_FSUM_BINS = _FSUM_EXP_OFFSET + 1024 + 1 + 26
+_FSUM_GROUP = 24
+_FSUM_BINS = math.ceil((_FSUM_EXP_OFFSET + 1024 + 1 + 2 * 26) / _FSUM_GROUP) * _FSUM_GROUP
+#: Bin j of a group is worth 2**j times the group's lowest.
+_FSUM_GROUP_SCALE = 2.0 ** np.arange(_FSUM_GROUP)
 #: Shorter arrays go to math.fsum, which is faster there.
 _FSUM_CHUNK = 4096
 #: Each bin adds up integers below 2**27 and stays exact below 2**53.
@@ -146,10 +150,14 @@ def _fsum(values: np.ndarray) -> float:
     """Correctly rounded sum, bit for bit math.fsum's, chunk by chunk in numpy.
 
     The halves of every k are added up exactly in float bins, one per power
-    of two; a Python integer then holds the exact sum and int true division
-    rounds it once.  Arrays shorter than one chunk or of 2**25 terms or
-    more, non-finite values, sums that could overflow and an exact zero
-    (whose sign is math.fsum's to choose) go to math.fsum.
+    of two.  Each bin then carries its bits above the low 26 to the bin 26
+    up, which leaves every bin an integer below 2**27, so one matrix product
+    folds each run of 24 bins into one float exactly: every partial sum is
+    an integer below 2**51.  A Python integer built from those group values
+    holds the exact sum, and int true division rounds it once.  Arrays
+    shorter than one chunk or of 2**25 terms or more, non-finite values,
+    sums that could overflow and an exact zero (whose sign is math.fsum's
+    to choose) go to math.fsum.
     """
     x = np.asarray(values, dtype=float).ravel()
     if not (_FSUM_CHUNK <= x.size < _FSUM_MAX_TERMS
@@ -163,8 +171,12 @@ def _fsum(values: np.ndarray) -> float:
         e += _FSUM_EXP_OFFSET
         bins += np.bincount(e, k - np.ldexp(high, 26), _FSUM_BINS)
         bins += np.bincount(e + 26, high, _FSUM_BINS)
-    used = np.flatnonzero(bins)
-    total = sum(int(v) << b for b, v in zip(used.tolist(), bins[used].tolist()))
+    carry = np.trunc(np.ldexp(bins, -26))
+    bins -= np.ldexp(carry, 26)
+    bins[26:] += carry[:-26]
+    groups = bins.reshape(-1, _FSUM_GROUP) @ _FSUM_GROUP_SCALE
+    used = np.flatnonzero(groups)
+    total = sum(int(v) << (_FSUM_GROUP * g) for g, v in zip(used.tolist(), groups[used].tolist()))
     return total / (1 << _FSUM_SHIFT) if total else math.fsum(x.tolist())
 
 
@@ -316,8 +328,8 @@ def _kernel_on_grid(
     spectrum = occupation_spectrum(state.xi_p)
     n1 = density(params, rule.nodes)
     basis = reference_basis(spectrum.truncation, state.omega_p, rule.nodes)
-    gq = np.einsum("ng,n,nh->gh", basis, spectrum.weights ** spec.q, basis)
-    gr = np.einsum("ng,n,nh->gh", basis, spectrum.weights ** spec.r, basis)
+    gq = (basis * (spectrum.weights ** spec.q)[:, None]).T @ basis
+    gr = (basis * (spectrum.weights ** spec.r)[:, None]).T @ basis
     return 2.0 * np.outer(n1, n1) - gq * gr
 
 

@@ -375,6 +375,25 @@ class TestVerify:
         assert code == 1
         assert out == (FIXTURES / "verify_tamper.json").read_bytes().decode("utf-8")
 
+    @pytest.mark.parametrize("fixture, argv", [
+        ("verify_default.json", ()),
+        ("verify_lambda02731.json", ("--lambda", "0.2731", "--q", "0.3512", "--q", "0.6123")),
+    ], ids=["default", "lambda0.2731"])
+    def test_bytes_do_not_depend_on_blas_threads(self, fixture, argv):
+        # the gamma powers on the kernel grid are BLAS matrix products, whose
+        # summation order may follow the thread count; OpenBLAS reads it once
+        # at import, hence one process per setting.  Only 1 and 2 threads are
+        # compared, as the suite runs on 2-core machines; more stay untested.
+        outs = {
+            threads: subprocess.run(
+                [sys.executable, "-m", "harmonium", "verify", *argv],
+                capture_output=True, check=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            ).stdout
+            for threads in ("1", "2")
+        }
+        assert outs["1"] == outs["2"] == (FIXTURES / fixture).read_bytes()
+
     def test_tamper_flips_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--lambda", "0.3", "--q", "0.5",
                                "--tamper")

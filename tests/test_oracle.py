@@ -33,6 +33,7 @@ from harmonium import oracle as orc
 from harmonium.mueller import energy_parametric
 from harmonium.oracle import (
     _FSUM_CHUNK,
+    _FSUM_SAFE_MASS,
     _SCAN_POINTS,
     _SCAN_RESCORE,
     _fsum,
@@ -331,7 +332,18 @@ class TestFsum:
             rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
             np.concatenate([rng.standard_normal(3 * n), [1e-300]]),
         ]
-        for values in cases:
+        # just under the overflow gate, so on the numpy path: the high halves
+        # land in bin ~2109 and their carry in the headroom bins above it
+        top = np.full(n, 2.0 ** 1009)
+        near_gate = [
+            top,
+            top * rng.choice([-1.0, 1.0], n),
+            np.concatenate([top[:-3] * np.resize([1.0, -1.0, 1.0], n - 3),
+                            [5e-324, -3e-320, 2.2e-308]]),
+        ]
+        for values in near_gate:
+            assert float(np.max(np.abs(values))) * values.size < _FSUM_SAFE_MASS
+        for values in cases + near_gate:
             for shape in (values, values[:_FSUM_CHUNK - 1]):
                 assert _outcome(_fsum, shape) == _outcome(math.fsum, shape)
 
