@@ -19,10 +19,10 @@ mass and interaction checks from the same grid, and each grid builds its
 reference basis once for both powers gamma^q and gamma^(1-q).
 
 Every quadrature sum is exact before its one rounding (`_fsum`, bit for
-bit math.fsum's: integer bins per power of two in numpy, carried below
-2**27 and folded 24 bins to one exact float), so results are deterministic
-and independent of evaluation order.  The sum is kept here rather than
-shared, which keeps the oracle independent of the layers it checks.
+bit math.fsum's: two levels of error-free extraction in numpy, certified
+or else handed to math.fsum), so results are deterministic and independent
+of evaluation order.  The sum is kept here rather than shared, which keeps
+the oracle independent of the layers it checks.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import eval_hermite
@@ -92,6 +92,10 @@ class QuadratureRule:
     def count(self) -> int:
         return self.nodes.size
 
+    @cached_property
+    def weights_2d(self) -> np.ndarray:
+        return np.outer(self.weights, self.weights)
+
 
 @lru_cache(maxsize=16)
 def _hermgauss(count: int):
@@ -128,67 +132,69 @@ def _doubled(rule: QuadratureRule) -> QuadratureRule:
     return gauss_hermite_rule(2 * rule.count, rule.scale)
 
 
-#: Every finite double is k * 2**(e - 53) with frexp's exponent e in [-1073, 1024]
-#: and an integer |k| < 2**53; bin e + 1073 takes the low 26 bits of k, bin
-#: e + 1073 + 26 the rest, and bin b is worth 2**(b - _FSUM_SHIFT).  The bins
-#: carry into 26 more at the top and round up to whole groups of _FSUM_GROUP.
-_FSUM_EXP_OFFSET = 1073
-_FSUM_SHIFT = _FSUM_EXP_OFFSET + 53
-_FSUM_GROUP = 24
-_FSUM_BINS = math.ceil((_FSUM_EXP_OFFSET + 1024 + 1 + 2 * 26) / _FSUM_GROUP) * _FSUM_GROUP
-#: Bin j of a group is worth 2**j times the group's lowest.
-_FSUM_GROUP_SCALE = 2.0 ** np.arange(_FSUM_GROUP)
 #: Shorter arrays go to math.fsum, which is faster there.
 _FSUM_CHUNK = 4096
-#: Each bin adds up integers below 2**27 and stays exact below 2**53.
-_FSUM_MAX_TERMS = 1 << 25
+#: Terms per pass of the extraction, sized to stay in cache.
+_FSUM_STEP = 8192
 #: While the absolute values sum below this, no partial of math.fsum overflows.
 _FSUM_SAFE_MASS = 2.0 ** 1022
 
 
 def _fsum(values: np.ndarray) -> float:
-    """Correctly rounded sum, bit for bit math.fsum's, chunk by chunk in numpy.
+    """Correctly rounded sum, bit for bit math.fsum's, by error-free extraction in numpy.
 
-    The halves of every k are added up exactly in float bins, one per power
-    of two.  Each bin then carries its bits above the low 26 to the bin 26
-    up, which leaves every bin an integer below 2**27, so one matrix product
-    folds each run of 24 bins into one float exactly: every partial sum is
-    an integer below 2**51.  A Python integer built from those group values
-    holds the exact sum, and int true division rounds it once.  Arrays
-    shorter than one chunk or of 2**25 terms or more, non-finite values,
-    sums that could overflow and an exact zero (whose sign is math.fsum's
-    to choose) go to math.fsum.
+    With 2**e > max|x|, 2**m >= n + 2, sigma0 = 2**(e + m) and sigma1 =
+    2**(m - 53) sigma0, q0 = (x + sigma0) - sigma0, r = x - q0 and q1 =
+    (r + sigma1) - sigma1 are exact, and each level's float sum is exact in
+    any order (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1), 2008).  The
+    two sums make one Python int, within n 2**-53 sigma1 of the true sum; when
+    both ends of that interval round to the same non-zero float by int true
+    division, that float is the sum.  Arrays shorter than one chunk,
+    non-finite values, sums that could overflow or need sigma0 = 2**1024, an
+    exact zero (whose sign is math.fsum's to choose) and sums too near a
+    rounding boundary go to math.fsum.
     """
     x = np.asarray(values, dtype=float).ravel()
-    if not (_FSUM_CHUNK <= x.size < _FSUM_MAX_TERMS
-            and float(max(x.max(), -x.min())) * x.size < _FSUM_SAFE_MASS):
+    n = x.size
+    top = float(max(x.max(), -x.min())) if n >= _FSUM_CHUNK else math.inf
+    e, m = math.frexp(top)[1], (n + 1).bit_length()
+    if not (top * n < _FSUM_SAFE_MASS and e + m < 1024):
         return math.fsum(x.tolist())
-    bins = np.zeros(_FSUM_BINS)
-    for start in range(0, x.size, _FSUM_CHUNK):
-        m, e = np.frexp(x[start:start + _FSUM_CHUNK])
-        k = np.ldexp(m, 53)
-        high = np.trunc(np.ldexp(k, -26))
-        e += _FSUM_EXP_OFFSET
-        bins += np.bincount(e, k - np.ldexp(high, 26), _FSUM_BINS)
-        bins += np.bincount(e + 26, high, _FSUM_BINS)
-    carry = np.trunc(np.ldexp(bins, -26))
-    bins -= np.ldexp(carry, 26)
-    bins[26:] += carry[:-26]
-    groups = bins.reshape(-1, _FSUM_GROUP) @ _FSUM_GROUP_SCALE
-    used = np.flatnonzero(groups)
-    total = sum(int(v) << (_FSUM_GROUP * g) for g, v in zip(used.tolist(), groups[used].tolist()))
-    return total / (1 << _FSUM_SHIFT) if total else math.fsum(x.tolist())
+    sigma0 = math.ldexp(1.0, e + m)
+    sigma1 = math.ldexp(sigma0, m - 53)
+    level0 = level1 = 0.0
+    buf = np.empty(min(n, _FSUM_STEP))
+    for start in range(0, n, _FSUM_STEP):
+        chunk = x[start:start + _FSUM_STEP]
+        q = buf[:chunk.size]
+        np.add(chunk, sigma0, out=q)
+        q -= sigma0
+        level0 += q.sum()
+        np.subtract(chunk, q, out=q)
+        q += sigma1
+        q -= sigma1
+        level1 += q.sum()
+    total = sum((a << 1074) // b for a, b in map(float.as_integer_ratio, (level0, level1)))
+    # 2**-53 sigma1 in units of 2**-1074; below one unit every remainder is 0
+    shift = e + 2 * m - 106 + 1074
+    slack = n << shift if shift >= 0 else 0
+    low, high = ((total + d) / (1 << 1074) for d in (-slack, slack))
+    return low if low == high and low else math.fsum(x.tolist())
 
 
-def quad_1d(rule: QuadratureRule, values: np.ndarray) -> float:
-    """Compensated sum_i W_i f(x_i) for f sampled on the rule's nodes."""
-    return _fsum(rule.weights * values)
+def quad_1d(rule: QuadratureRule, values: np.ndarray):
+    """Exact sums of W_i f(x_i) over the last axis: a float for one row, else an array.
+
+    Rows have at most 370 terms, where math.fsum is faster than `_fsum`'s extraction.
+    """
+    terms = rule.weights * values
+    sums = [math.fsum(row) for row in terms.reshape(-1, rule.count).tolist()]
+    return sums[0] if terms.ndim == 1 else np.reshape(sums, terms.shape[:-1])
 
 
 def quad_2d(rule: QuadratureRule, values: np.ndarray) -> float:
-    """Compensated tensor-product integral for f sampled on nodes x nodes."""
-    w2 = np.outer(rule.weights, rule.weights)
-    return _fsum(w2 * values)
+    """Exact tensor-product integral for f sampled on nodes x nodes."""
+    return _fsum(rule.weights_2d * values)
 
 
 def _check_oracle_window(params: ModelParams):
@@ -211,11 +217,10 @@ def reference_basis(n_max: int, omega: float, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     u = math.sqrt(omega) * x
     envelope = np.exp(-0.5 * u ** 2)
-    out = np.empty((n_max,) + u.shape)
-    for n in range(n_max):
-        lognorm = -0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0)) - 0.25 * math.log(math.pi)
-        out[n] = math.exp(lognorm) * eval_hermite(n, u) * envelope
-    return omega ** 0.25 * out
+    norms = [math.exp(-0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0)) - 0.25 * math.log(math.pi))
+             for n in range(n_max)]
+    n = np.arange(n_max).reshape((-1,) + (1,) * u.ndim)
+    return omega ** 0.25 * (np.reshape(norms, n.shape) * eval_hermite(n, u) * envelope)
 
 
 def _warn_if_shifted(name: str, base, refined, unit: float):
@@ -248,10 +253,8 @@ def one_matrix_numeric(
     xps = np.asarray(xp, dtype=float)[..., None]
 
     def value(grid: QuadratureRule):
-        amp = wavefunction(params, xs, grid.nodes) * wavefunction(params, xps, grid.nodes)
-        out = np.array([quad_1d(grid, row) for row in amp.reshape(-1, grid.count)])
-        out = out.reshape(amp.shape[:-1])
-        return float(out) if out.ndim == 0 else out
+        nodes = grid.nodes
+        return quad_1d(grid, wavefunction(params, xs, nodes) * wavefunction(params, xps, nodes))
 
     base = value(rule)
     if check:
@@ -312,19 +315,15 @@ def spectral_kinetic_sum(xi_p: float, omega_p: float) -> float:
     dphi = -np.sqrt((n + 1.0) / 2.0) * basis[1:]
     dphi[1:] += np.sqrt(n[1:] / 2.0) * basis[:-2]
     dphi *= math.sqrt(omega_p)
-    t = np.array([0.5 * quad_1d(rule, row ** 2) for row in dphi])
+    t = 0.5 * quad_1d(rule, dphi ** 2)
     return math.fsum(2.0 * spectrum.weights * t)
-
-
-def _check_state_matches(spec: KernelSpec, state: ParametricState):
-    if state.q != spec.q:
-        raise DomainError(f"state power q={state.q} and the kernel's q={spec.q} differ")
 
 
 def _kernel_on_grid(
     params: ModelParams, spec: KernelSpec, state: ParametricState, rule: QuadratureRule
 ) -> np.ndarray:
-    _check_state_matches(spec, state)
+    if state.q != spec.q:
+        raise DomainError(f"state power q={state.q} and the kernel's q={spec.q} differ")
     spectrum = occupation_spectrum(state.xi_p)
     n1 = density(params, rule.nodes)
     basis = reference_basis(spectrum.truncation, state.omega_p, rule.nodes)
@@ -505,7 +504,7 @@ def run_verification(
             1e-8 * root_omega0, relative=False,
         ))
 
-        numeric = hamiltonian_expectation_numeric(params, check=False)
+        numeric = hamiltonian_expectation_numeric(params, rule=psi_rule, check=False)
         closed = exact_energy(params)
         checks.append(_entry(
             f"hamiltonian_total[{tag}]", numeric.total, closed.total * skew, 1e-8, relative=True,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import eval_hermite
 
 import reference_values as ref
 from harmonium import (
@@ -107,6 +108,18 @@ class TestReferenceBasis:
         basis = reference_basis(12, omega, rule.nodes)
         gram = np.einsum("g,ng,mg->nm", rule.weights, basis, basis)
         assert gram == pytest.approx(np.eye(12), abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(192,), (7, 1), (3, 4)])
+    def test_matches_the_per_order_loop(self, shape):
+        # one broadcast eval_hermite call keeps the bits of one call per order
+        omega = 0.83
+        x = np.random.default_rng(7).standard_normal(shape) * 4.0
+        u = math.sqrt(omega) * x
+        loop = np.empty((170,) + shape)
+        for n in range(170):
+            lognorm = -0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0)) - 0.25 * math.log(math.pi)
+            loop[n] = math.exp(lognorm) * eval_hermite(n, u) * np.exp(-0.5 * u ** 2)
+        assert np.array_equal(reference_basis(170, omega, x), omega ** 0.25 * loop)
 
     def test_order_bounds(self):
         with pytest.raises(DomainError):
@@ -331,6 +344,8 @@ class TestFsum:
             np.resize([math.nan, 1.0], n),
             rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
             np.concatenate([rng.standard_normal(3 * n), [1e-300]]),
+            # subnormal terms: the extraction's last unit is below 2**-1074
+            np.full(_FSUM_CHUNK, 9.88e-309),
         ]
         # just under the overflow gate, so on the numpy path: the high halves
         # land in bin ~2109 and their carry in the headroom bins above it
@@ -340,6 +355,8 @@ class TestFsum:
             top * rng.choice([-1.0, 1.0], n),
             np.concatenate([top[:-3] * np.resize([1.0, -1.0, 1.0], n - 3),
                             [5e-324, -3e-320, 2.2e-308]]),
+            # under the gate, but the extraction's sigma0 would be 2**1024
+            np.full(2 * _FSUM_CHUNK - 1, 2.0 ** 1009 * 1.0001),
         ]
         for values in near_gate:
             assert float(np.max(np.abs(values))) * values.size < _FSUM_SAFE_MASS
@@ -356,6 +373,53 @@ class TestFsum:
 
         monkeypatch.setattr(math, "fsum", refuse)
         assert _fsum(x) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(odd=st.booleans(), sign=st.sampled_from([-1.0, 1.0]), scale=st.integers(-800, 800),
+           planted=st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.integers(60, 200)),
+                            max_size=6),
+           length=st.integers(_FSUM_CHUNK, 2 * _FSUM_CHUNK), seed=st.integers(0, 2 ** 32 - 1))
+    def test_rounding_midpoints_match_math_fsum(self, odd, sign, scale, planted, length, seed):
+        # base + 2**-53 lies halfway between two doubles, rounding to even; the
+        # planted terms sit on or below the extraction's resolution, so they
+        # decide the rounding and math.fsum has to take over
+        terms = [1.0 + odd * 2.0 ** -52, 2.0 ** -53] + [s * 2.0 ** -k for s, k in planted]
+        x = np.zeros(length)
+        x[:len(terms)] = np.ldexp(sign * np.array(terms), scale)
+        np.random.default_rng(seed).shuffle(x)
+        assert _outcome(_fsum, x) == _outcome(math.fsum, x)
+
+    def test_uncertified_sums_go_to_math_fsum(self, monkeypatch):
+        x = np.zeros(_FSUM_CHUNK)
+        x[:3] = 1.0, 2.0 ** -53, 2.0 ** -200
+        fsum, calls = math.fsum, []
+
+        def spy(values):
+            calls.append(len(values))
+            return fsum(values)
+
+        monkeypatch.setattr(math, "fsum", spy)
+        assert _fsum(x) == 1.0 + 2.0 ** -52
+        assert calls == [_FSUM_CHUNK]
+
+    def test_verification_sums_stay_in_numpy(self, monkeypatch):
+        # every long sum of a default run is certified by the extraction alone
+        fsum, extract = math.fsum, orc._fsum
+        long_sums = []
+
+        def short_only(values):
+            assert len(values) < _FSUM_CHUNK, "a long sum fell back to math.fsum"
+            return fsum(values)
+
+        def counted(values):
+            long_sums.append(np.size(values) >= _FSUM_CHUNK)
+            return extract(values)
+
+        monkeypatch.setattr(math, "fsum", short_only)
+        monkeypatch.setattr(orc, "_fsum", counted)
+        run_verification()
+        # 13 tensor-product sums per coupling, of 96**2 or 192**2 terms
+        assert sum(long_sums) == 26
 
 
 def _scalar_scan(params, spec):
