@@ -73,13 +73,27 @@ def _parse_grid(text: str) -> list[float]:
     return [float(v) for v in np.linspace(start, stop, count)]
 
 
-def _csv_text(rows: list[dict]) -> str:
-    """The rows under a header of the first row's keys."""
+def _csv_field(value) -> str:
+    """A cell as csv.writer writes it in a row: None empty, text quoted if it must be."""
+    if value is None:
+        return ""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(rows[0])
+    csv.writer(buf, lineterminator="\n").writerow((value, None))  # "<cell>,\n"
+    return buf.getvalue()[:-2]
+
+
+def _csv_text(rows: list[dict]) -> str:
+    """The rows under a header of the first row's keys.  One "%.17g" template
+    per row prints the columns that hold a number in the first row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(rows[0])
+    text = [j for j, v in enumerate(rows[0].values()) if not isinstance(v, (int, float))]
+    template = ",".join("%s" if j in text else "%.17g" for j in range(len(rows[0]))) + "\n"
     for row in rows:
-        writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row.values()])
+        cells = list(row.values())
+        for j in text:
+            cells[j] = _csv_field(cells[j])
+        buf.write(template % tuple(cells))
     return buf.getvalue()
 
 
@@ -122,23 +136,13 @@ def _emit_table(args, rows: list[dict], failed: int) -> int:
     return 1 if failed > 0.1 * len(rows) else 0
 
 
-def _single_q(args) -> float:
-    if args.q is None:
-        return 0.5
-    if len(args.q) != 1:
-        raise DomainError("this subcommand takes exactly one --q")
-    return args.q[0]
-
-
-def _require_coupling(args) -> float:
-    if args.coupling is None:
-        raise DomainError("a coupling is required; pass --lambda")
-    return args.coupling
-
-
 def cmd_solve(args) -> int:
-    lam = _require_coupling(args)
-    q = _single_q(args)
+    lam = args.coupling
+    if lam is None:
+        raise DomainError("a coupling is required; pass --lambda")
+    if args.q is not None and len(args.q) != 1:
+        raise DomainError("this subcommand takes exactly one --q")
+    q = 0.5 if args.q is None else args.q[0]
     params = ModelParams(omega0=args.omega0, coupling=lam)
     f = derive_frequencies(params)
     sol = slv.solve_xi_p(params, q)

@@ -166,9 +166,8 @@ def exact_energy(params: ModelParams) -> EnergyBreakdown:
     f = derive_frequencies(params)
     kinetic = 0.25 * (f.omega1 + f.omega2)
     external = params.omega0 ** 2 / (2.0 * f.omega_s)
-    interaction = (
-        -0.5 * params.coupling * params.omega0 ** 2 / f.omega_s * (2.0 - f.omega_s / f.omega1)
-    )
+    scale = 0.5 * params.coupling * params.omega0 ** 2 / f.omega_s
+    interaction = 0.0 - scale * (2.0 - f.omega_s / f.omega1)  # +0.0, not -0.0, when uncoupled
     return EnergyBreakdown.from_terms(kinetic, external, interaction)
 
 
@@ -232,5 +231,5 @@ def hartree_fock(params: ModelParams):
     omega_hf = params.omega0 * math.sqrt(1.0 - params.coupling)
     kinetic = 0.5 * omega_hf
     external = params.omega0 ** 2 / (2.0 * omega_hf)
-    interaction = -params.coupling * params.omega0 ** 2 / (2.0 * omega_hf)
+    interaction = 0.0 - params.coupling * params.omega0 ** 2 / (2.0 * omega_hf)
     return omega_hf, EnergyBreakdown.from_terms(kinetic, external, interaction)

@@ -114,5 +114,5 @@ def energy_parametric(params: ModelParams, spec: KernelSpec, xi_p) -> EnergyBrea
     kinetic = kinetic_parametric(f.omega_s, xi_p)
     external = params.omega0 ** 2 / (2.0 * f.omega_s)
     bracket = interaction_bracket(spec.q, xi_p)
-    interaction = -0.5 * params.coupling * params.omega0 ** 2 / f.omega_s * bracket
+    interaction = 0.0 - 0.5 * params.coupling * params.omega0 ** 2 / f.omega_s * bracket
     return EnergyBreakdown.from_terms(kinetic, external, interaction)

@@ -24,15 +24,17 @@ relative accuracy.  `solve_batch` takes one q and a batch of couplings: lhs
 is evaluated once on a logarithmic scan grid, from 1e-12 to 1 - 1e-9 with
 decades below it down to 1e-290, checked to be strictly increasing there,
 and each row is bracketed by one binary search in the scan.  All rows then
-advance together by Newton steps on log xi_p, using the analytic
-d log lhs / d log xi_p and falling back to the geometric midpoint whenever
-a step would leave the bracket, until each sign-change bracket is narrower
-than 1e-15 relative.  That tolerance is fixed, because it is what keeps
-every root residual at or below 1e-13 * max(1, rhs).  `solve_xi_p` is a
-batch of one on the same path, and `sweep`, `scaling_exponent` and the CLI
-make one `solve_batch` call per q.  Its records hold results, not their
-inputs; `sweep` alone turns solved rows into dicts keyed by their column
-names, with the q-independent columns computed once per coupling.
+advance together by Newton steps on log xi_p, falling back to the geometric
+midpoint whenever a step would leave the bracket, until each sign-change
+bracket is narrower than 1e-15 relative, a fixed tolerance that keeps every
+root residual at or below 1e-13 * max(1, rhs).  Each step forms lhs and the
+analytic d log lhs / d log xi_p from one set of powers xi^q, xi^(2q-1) and
+xi^(2q), without a domain check, as the brackets keep every iterate inside
+(0, 1); `stationarity_lhs` runs twice per batch, on the scan and for the
+residuals.  `solve_xi_p` is a batch of one on the same path, and `sweep`,
+`scaling_exponent` and the CLI make one `solve_batch` call per q.  `sweep`
+alone turns solved rows into dicts keyed by their column names, with the
+q-independent columns computed once per coupling.
 
 The ratio crossing xi_p = xi needs no solve: as q = 1/2 recovers the exact
 xi, `find_crossing` takes the root of lhs(q, xi) = lhs(1/2, xi) by the same
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,11 +115,23 @@ def stationarity_lhs(q: float, xi_p):
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0, 1), got {q}")
     xi = np.asarray(xi_p, dtype=float)
-    if np.any(xi <= 0.0) or np.any(xi >= 1.0):
+    if not np.all((xi > 0.0) & (xi < 1.0)):  # NaN fails it too
         raise DomainError("stationarity_lhs needs xi_p strictly inside (0, 1)")
-    den = q * (xi ** (2.0 * q - 1.0) - xi) + (1.0 - q) * (1.0 - xi ** (2.0 * q))
-    out = xi ** q / den * ((1.0 + xi) / (1.0 - xi)) ** 3
+    out = _lhs(q, xi)
     return float(out) if out.ndim == 0 else out
+
+
+def _lhs(q: float, xi, slope: bool = False):
+    """lhs(q, xi) for scalar or array xi, without a domain check; with slope,
+    also d log lhs / d log xi, for the Newton steps, from the same powers."""
+    a = xi ** (2.0 * q - 1.0)
+    b = xi ** (2.0 * q)
+    den = q * (a - xi) + (1.0 - q) * (1.0 - b)
+    lhs = xi ** q / den * ((1.0 + xi) / (1.0 - xi)) ** 3
+    if not slope:
+        return lhs
+    xi_dden = q * ((2.0 * q - 1.0) * a - xi) - 2.0 * q * (1.0 - q) * b
+    return lhs, q - xi_dden / den + 6.0 * xi / (1.0 - xi * xi)
 
 
 def stationarity_rhs(params: ModelParams) -> float:
@@ -140,15 +154,6 @@ def _decades(top: float, floor: float) -> np.ndarray:
     while points[-1] > floor:
         points.append(points[-1] / 10.0)
     return np.array(points[:0:-1])
-
-
-def _dlog_lhs(q: float, xi):
-    """d log lhs / d log xi for scalar or array xi, the slope of the Newton steps."""
-    a = xi ** (2.0 * q - 1.0)
-    b = xi ** (2.0 * q)
-    den = q * (a - xi) + (1.0 - q) * (1.0 - b)
-    xi_dden = q * ((2.0 * q - 1.0) * a - xi) - 2.0 * q * (1.0 - q) * b
-    return q - xi_dden / den + 6.0 * xi / (1.0 - xi * xi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,13 +279,14 @@ def _solve(q: float, couplings) -> BatchSolution:
         lo_o, hi_o = lo_a[outside], hi_a[outside]
         xa[outside] = np.where(lo_o * hi_o >= np.finfo(float).tiny, np.sqrt(lo_o * hi_o),
                                np.sqrt(lo_o) * np.sqrt(hi_o))
-        fa = stationarity_lhs(q, xa)
+        # every iterate lies inside its bracket, within (0, 1): no domain check
+        fa, slope = _lhs(q, xa, slope=True)
         steps[active] += 1
         up = fa < ra
         lo[active[up]] = xa[up]
         hi[active[~up]] = xa[~up]
         lo[active[fa == ra]] = xa[fa == ra]
-        x[active] = xa * np.exp(np.log(ra / fa) / _dlog_lhs(q, xa)) * np.where(
+        x[active] = xa * np.exp(np.log(ra / fa) / slope) * np.where(
             up, 1.0 + nudge, 1.0 - nudge
         )
         active = active[hi[active] - lo[active] > _TOL * lo[active]]
@@ -316,7 +322,7 @@ def sweep(params_base: ModelParams, q_list, lambda_grid) -> list[dict]:
                 rows.append(dict(zip(_SWEEP_COLUMNS, (q, lam, *[nan] * 10, str(error)))))
                 continue
             if lam not in exact:
-                params = replace(params_base, coupling=lam)
+                params = ModelParams(omega0=params_base.omega0, coupling=lam)
                 xi = derive_frequencies(params).xi
                 lam_dual = l_dual = nan
                 if lam > 0.0:

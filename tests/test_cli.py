@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_values as ref
 from harmonium import ModelParams, cli
@@ -25,6 +30,9 @@ SWEEP_FIXTURES = [
     ("sweep_past_edge.csv", "0.4998:0.50005:6", ("--q", "0.5", "--q", "0.4"), 1),
     # roots down to 1.8e-289 below the scan window, and rows with none above xi_p = 1e-290
     ("sweep_decades.csv", "1e-300:1e-3:25:log", ("--q", "0.3", "--q", "0.5", "--q", "0.7"), 1),
+    # 288-row sweeps of the benchmark's shape, each with one error row per q past LAMBDA_MAX
+    ("sweep_grid_log.csv", "1.5e-9:0.49995:96:log", ("--q", "0.5", "--q", "0.3512", "--q", "0.6123"), 0),
+    ("sweep_grid_linear.csv", "0.005:0.49993:96", ("--q", "0.5", "--q", "0.4187", "--q", "0.6655"), 0),
 ]
 
 #: A value for each flag that takes one; --tamper is store_true and takes none.
@@ -174,6 +182,13 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", "--lambda", "0.3", "--q", "0.4", "--format", fmt)
         assert code == 0
         assert out == (FIXTURES / fixture).read_bytes().decode("utf-8")
+
+    def test_uncoupled_interaction_prints_as_positive_zero(self, capsys):
+        _, out, _ = run_cli(capsys, "solve", "--lambda", "0")
+        header, row = (line.split(",") for line in out.splitlines())
+        assert row[header.index("e_interaction")] == "0"
+        _, out, _ = run_cli(capsys, "solve", "--lambda", "0", "--format", "json")
+        assert '\n  "e_interaction": 0.0,\n' in out
 
     def test_solver_failure_maps_to_exit_3(self, capsys, monkeypatch):
         def boom(*a, **k):
@@ -474,7 +489,44 @@ class TestReport:
         assert err.rstrip().endswith("(coupling=0.42000000000000004, q=0.5)")
 
 
+def _per_cell_csv_text(rows):
+    # the CSV writer as it was before rows were formatted by one template
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(rows[0])
+    for row in rows:
+        writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row.values()])
+    return buf.getvalue()
+
+
+_CSV_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308, 1.7e308]),
+    st.integers(-10**6, 10**6),
+)
+_CSV_TEXT = st.one_of(st.none(), st.text(st.sampled_from('ab ,;"\'\n\r\t='), max_size=12))
+
+
+@st.composite
+def _csv_tables(draw):
+    """Rows whose columns each hold only numbers or only None and text."""
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=6).filter(any))
+    return [{f"c{j}": draw(_CSV_NUMBERS if number else _CSV_TEXT) for j, number in enumerate(kinds)}
+            for _ in range(draw(st.integers(1, 5)))]
+
+
 class TestOutput:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_csv_tables())
+    def test_csv_text_matches_the_per_cell_writer(self, rows):
+        assert cli._csv_text(rows) == _per_cell_csv_text(rows)
+
+    def test_csv_text_of_sweep_rows_matches_the_per_cell_writer(self):
+        # error rows ahead of, among and after solved ones, and the uncoupled row
+        rows = slv.sweep(ModelParams(), [0.3, 0.5], [-0.1, 0.0, 1e-300, 1e-9, 0.3, 0.49995])
+        assert sum(r["error"] is not None for r in rows) >= 4
+        assert cli._csv_text(rows) == _per_cell_csv_text(rows)
+
     def test_out_writes_atomically(self, capsys, tmp_path):
         target = tmp_path / "result.csv"
         code, out, _ = run_cli(capsys, "solve", "--lambda", "0.3", "--out", str(target))

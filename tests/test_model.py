@@ -115,6 +115,12 @@ class TestExactEnergy:
         assert e.total == pytest.approx(3.0, rel=1e-15)
         assert e.interaction == 0.0
 
+    @pytest.mark.parametrize("omega0", [1e-150, 1.0, 3.0, 1e150])
+    def test_uncoupled_interaction_is_positive_zero(self, omega0):
+        p = ModelParams(omega0=omega0)
+        for e in (exact_energy(p), hartree_fock(p)[1]):
+            assert math.copysign(1.0, e.interaction) == 1.0 and e.interaction == 0.0
+
     def test_attractive_branch(self):
         p = ModelParams(coupling=-0.2)
         e = exact_energy(p)

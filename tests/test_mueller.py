@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -122,6 +124,13 @@ class TestEnergyParametric:
         assert e.external == pytest.approx(ref.E_EXTERNAL_03, rel=1e-13)
         assert e.interaction == pytest.approx(ref.E_INTERACTION_03, rel=1e-13)
         assert e.total == pytest.approx(ref.E_TOTAL_03, rel=1e-13)
+
+    def test_uncoupled_interaction_is_positive_zero(self):
+        spec = KernelSpec.sum_one(0.4)
+        scalar = energy_parametric(ModelParams(omega0=2.0), spec, 0.3).interaction
+        assert math.copysign(1.0, scalar) == 1.0 and scalar == 0.0
+        array = energy_parametric(ModelParams(omega0=2.0), spec, np.array([0.0, 0.3])).interaction
+        assert np.all(np.copysign(1.0, array) == 1.0) and np.all(array == 0.0)
 
     def test_confinement_term_never_moves(self):
         spec = KernelSpec.sum_one(0.4)

@@ -91,6 +91,44 @@ class TestStationarityPieces:
         with pytest.raises(DomainError):
             stationarity_lhs(0.0, 0.5)
 
+    def test_lhs_refuses_nan(self):
+        with pytest.raises(DomainError, match="strictly inside"):
+            stationarity_lhs(0.4, math.nan)
+        with pytest.raises(DomainError, match="strictly inside"):
+            stationarity_lhs(0.4, np.array([0.1, math.nan, 0.3]))
+
+
+def _old_dlog_lhs(q, xi):
+    # the slope as the solver formed it before lhs and slope shared their powers
+    a = xi ** (2.0 * q - 1.0)
+    b = xi ** (2.0 * q)
+    den = q * (a - xi) + (1.0 - q) * (1.0 - b)
+    xi_dden = q * ((2.0 * q - 1.0) * a - xi) - 2.0 * q * (1.0 - q) * b
+    return q - xi_dden / den + 6.0 * xi / (1.0 - xi * xi)
+
+
+class TestFusedStep:
+    XI = np.geomspace(1e-290, 1.0 - 1e-9, 4001)
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.floats(0.3, 0.7))
+    def test_lhs_and_slope_match_bit_for_bit(self, q):
+        lhs, slope = solver_module._lhs(q, self.XI, slope=True)
+        assert lhs.tobytes() == stationarity_lhs(q, self.XI).tobytes()
+        assert slope.tobytes() == _old_dlog_lhs(q, self.XI).tobytes()
+
+    def test_a_batch_calls_the_public_lhs_twice(self, monkeypatch):
+        # once on the scan and once for the residuals; the Newton steps call the fused helper
+        calls = []
+        lhs = solver_module.stationarity_lhs
+        monkeypatch.setattr(solver_module, "stationarity_lhs",
+                            lambda q, xi: calls.append(np.size(xi)) or lhs(q, xi))
+        for q in (0.3, 0.5, 0.7):
+            calls.clear()
+            batch = solve_batch(q, [0.0, 1e-200, 1e-9, 0.3, 0.4999, 0.6])
+            assert batch.iterations.max() > 0
+            assert len(calls) == 2, q
+
 
 class TestSolve:
     def test_square_root_exponent_recovers_xi(self):
