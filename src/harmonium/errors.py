@@ -8,7 +8,7 @@ class DomainError(ValueError):
 
 
 class BracketError(RuntimeError):
-    """A guaranteed sign change could not be located (or was not unique).
+    """A guaranteed sign change could not be located.
 
     This signals a bug or a parameter far outside the validated window,
     not a tolerance problem.

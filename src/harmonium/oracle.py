@@ -446,8 +446,7 @@ def run_verification(
     orbital-resolved kinetic sum, kernel mass and interaction integrals
     (both from one kernel grid on the 96-node rule of scale omega_s),
     root-versus-scan minima, and node-doubling stability.  Interaction
-    comparisons run at 1e-7 relative, loosened to 1e-6 for couplings at or
-    beyond 0.449 where the quadrature ratio degrades.  Absolute energy
+    comparisons run at 1e-7 relative at every coupling.  Absolute energy
     tolerances are in units of omega0, and the one-matrix lattice spans
     [-3, 3] trap lengths 1/sqrt(omega0) at a tolerance in units of
     sqrt(omega0), so every check reads the same at every omega0.  A
@@ -535,13 +534,11 @@ def run_verification(
             sol = solve_xi_p(params, float(q))
             state = parametric_state(f.omega_s, float(q), sol.xi_p)
             qtag = f"{tag},q={q:g}"
-            inter_tol = 1e-6 if lam >= 0.449 else 1e-7
             closed_inter = energy_parametric(params, spec, sol.xi_p).interaction * skew
             kern = _kernel_on_grid(params, spec, state, dens_rule)
             numeric_inter = _interaction_on_grid(params, dens_rule, kern)
             checks.append(_entry(
-                f"kernel_interaction[{qtag}]", numeric_inter, closed_inter,
-                inter_tol, relative=True,
+                f"kernel_interaction[{qtag}]", numeric_inter, closed_inter, 1e-7, relative=True,
             ))
             refined_inter = kernel_interaction_numeric(
                 params, spec, state, rule=fine_dens_rule, check=False

@@ -21,20 +21,32 @@ The solver works in log space, because for small coupling the root scales
 like a power of the coupling (xi_p ~ coupling^(1/max(q, 1-q)) for q != 1/2,
 ~ coupling^2/16 at q = 1/2) and absolute-width steps would lose all
 relative accuracy.  `solve_batch` takes one q and a batch of couplings: lhs
-is evaluated once on a logarithmic scan grid, from 1e-12 to 1 - 1e-9 with
-decades below it down to 1e-290, checked to be strictly increasing there,
-and each row is bracketed by one binary search in the scan.  All rows then
-advance together by Newton steps on log xi_p, falling back to the geometric
-midpoint whenever a step would leave the bracket, until each sign-change
-bracket is narrower than 1e-15 relative, a fixed tolerance that keeps every
-root residual at or below 1e-13 * max(1, rhs).  Each step forms lhs and the
-analytic d log lhs / d log xi_p from one set of powers xi^q, xi^(2q-1) and
-xi^(2q), without a domain check, as the brackets keep every iterate inside
-(0, 1); `stationarity_lhs` runs twice per batch, on the scan and for the
-residuals.  `solve_xi_p` is a batch of one on the same path, and `sweep`,
+is evaluated once on one logarithmic grid, from 1 - 1e-9 down to 1e-12 and
+by decades below it to 1e-290, and each row is bracketed by one binary
+search in it.  All rows then advance together by Newton steps on log xi_p,
+falling back to the geometric midpoint whenever a step would leave the
+bracket, until each sign-change bracket is narrower than 1e-15 relative, a
+fixed tolerance that keeps every root residual at or below
+1e-13 * max(1, rhs).  Each step forms lhs and the analytic
+d log lhs / d log xi_p from one set of powers xi^q, xi^(2q-1) and xi^(2q),
+without a domain check, as the brackets keep every iterate inside (0, 1);
+`stationarity_lhs` runs twice per batch, on the grid and for the residuals.
+`solve_xi_p` is a batch of one on the same path, and `sweep`,
 `scaling_exponent` and the CLI make one `solve_batch` call per q.  `sweep`
 alone turns solved rows into dicts keyed by their column names, with the
 q-independent columns computed once per coupling.
+
+Why one search in the grid brackets every root.  With t = -ln xi,
+
+    lhs = ((1+xi)/(1-xi))^3 / (2 [q sinh((1-q)t) + (1-q) sinh(qt)]),
+
+so lhs is symmetric under q <-> 1-q and rises strictly in xi for every q in
+(0, 1): each root is unique.  As cosh >= sinh, the log-slope of lhs in xi is
+at least min(q, 1-q), so for q in [Q_MIN, Q_MAX] each grid step (1.35 % or
+more) raises lhs by 0.4 % or more, far above its rounding.  rhs rises with
+the coupling to rhs(LAMBDA_MAX) = 160.67, and sinh x <= x cosh x gives
+lhs(XI_P_MAX) >= 8.0e36, so no sign change is missed above the grid.  The
+one failure left is a root below 1e-290 (at coupling 1e-300, for example).
 
 The ratio crossing xi_p = xi needs no solve: as q = 1/2 recovers the exact
 xi, `find_crossing` takes the root of lhs(q, xi) = lhs(1/2, xi) by the same
@@ -43,7 +55,6 @@ Newton steps and maps it to a coupling in closed form.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -72,11 +83,15 @@ __all__ = [
 Q_MIN = 0.3
 Q_MAX = 0.7
 
-#: Logarithmic grid on which every batch brackets its roots.
-_SCAN = np.geomspace(1e-12, XI_P_MAX, 2048)
-_SCAN.flags.writeable = False
-#: The decades below the scan window reach down to the first one at or below this xi_p.
+#: Below 1e-12 the grid steps down by decades, to the first one at or below this xi_p.
 _WALK_FLOOR = 1e-290
+#: The grid on which every batch brackets its roots: each decade is a tenth of the one
+#: above it, and 2048 logarithmic points run from 1e-12 to XI_P_MAX.
+_GRID = [1e-12]
+while _GRID[-1] > _WALK_FLOOR:
+    _GRID.append(_GRID[-1] / 10.0)
+_GRID = np.concatenate((_GRID[:0:-1], np.geomspace(1e-12, XI_P_MAX, 2048)))
+_GRID.flags.writeable = False
 _MAX_STEPS = 200
 #: Relative width of the sign-change bracket at which a root or crossing stops.
 _TOL = 1e-15
@@ -147,21 +162,12 @@ def stationarity_rhs(params: ModelParams) -> float:
     return lam * (1.0 / (2.0 * omega_s)) ** 2
 
 
-@functools.cache
-def _decades(top: float, floor: float) -> np.ndarray:
-    """top/10, top/100, ... down to the first point at or below floor, ascending."""
-    points = [top]
-    while points[-1] > floor:
-        points.append(points[-1] / 10.0)
-    return np.array(points[:0:-1])
-
-
 @dataclass(frozen=True, eq=False)
 class BatchSolution:
     """Roots of the stationarity condition at one q, one row per coupling.
 
-    A failed row (a coupling outside [0, LAMBDA_MAX], or no sign change in
-    the scan) keeps its DomainError or BracketError in `errors` and NaN in
+    A failed row (a coupling outside [0, LAMBDA_MAX], or a root below
+    1e-290) keeps its DomainError or BracketError in `errors` and NaN in
     `xi_p` and `residual`; `solution(i)` re-raises it.  Row i belongs to the
     i-th coupling of the call, which the record does not echo.
     """
@@ -189,10 +195,9 @@ def solve_batch(q: float, couplings) -> BatchSolution:
     A row stops once its sign-change bracket is narrower than 1e-15
     relative; the residual of every root stays below ~1e-13 * max(1, rhs)
     across the validated window.  coupling = 0 gives xi_p = 0.  Rows fail
-    one by one: a coupling outside [0, LAMBDA_MAX] or a missing sign change
-    sets only that row's error.  What would fail every row raises instead:
-    DomainError for an exponent outside [Q_MIN, Q_MAX], BracketError for a
-    scan on which lhs is not strictly increasing.
+    one by one: a coupling outside [0, LAMBDA_MAX] (DomainError) or a root
+    below 1e-290 (BracketError) sets only that row's error.  An exponent
+    outside [Q_MIN, Q_MAX] fails every row and raises DomainError instead.
     """
     return _solve(q, couplings)
 
@@ -230,35 +235,23 @@ def _solve(q: float, couplings) -> BatchSolution:
                 xi_p[i] = residual[i] = 0.0
     rows = np.array([i for i in range(n) if errors[i] is None and lams[i] != 0.0], dtype=int)
 
-    grid = np.concatenate((_decades(float(_SCAN[0]), _WALK_FLOOR), _SCAN))
-    scan = stationarity_lhs(q, grid)
-    if not np.all(np.diff(scan) > 0.0):
-        raise BracketError(
-            f"the stationarity condition is not increasing on the scan window at q={q}, "
-            "so its sign change need not be unique"
-        )
-
     # Bracket [lo, hi] with lhs(lo) = llo < rhs < lhs(hi) = lhi by one binary
-    # search in the scan; a grid point where lhs equals rhs is the root.
+    # search in the grid; a grid point where lhs equals rhs is the root.  Every
+    # rhs lies below lhs at the top of the grid (module docstring).
+    scan = stationarity_lhs(q, _GRID)
     r = rhs[rows]
     k = np.searchsorted(scan, r)
-    hit = scan[np.minimum(k, grid.size - 1)] == r
-    xi_p[rows[hit]] = grid[k[hit]]
+    hit = scan[k] == r
+    xi_p[rows[hit]] = _GRID[k[hit]]
     residual[rows[hit]] = 0.0
-    for i, kk in zip(rows[~hit], k[~hit]):
-        if kk == 0:
-            errors[i] = BracketError(
-                f"no sign change of the stationarity condition down to xi_p = {_WALK_FLOOR} "
-                f"at (coupling={lams[i]}, q={q})"
-            )
-        elif kk == grid.size:
-            errors[i] = BracketError(
-                f"no sign change of the stationarity condition in "
-                f"[{_SCAN[0]}, {_SCAN[-1]}] at (coupling={lams[i]}, q={q})"
-            )
-    keep = ~hit & (k > 0) & (k < grid.size)
+    for i in rows[~hit & (k == 0)]:
+        errors[i] = BracketError(
+            f"no sign change of the stationarity condition down to xi_p = {_WALK_FLOOR} "
+            f"at (coupling={lams[i]}, q={q})"
+        )
+    keep = ~hit & (k > 0)
     rows, r, k = rows[keep], r[keep], k[keep]
-    lo, llo, hi, lhi = grid[k - 1], scan[k - 1], grid[k], scan[k]
+    lo, llo, hi, lhi = _GRID[k - 1], scan[k - 1], _GRID[k], scan[k]
 
     # Newton steps on log xi from a log-log interpolation inside the bracket;
     # a point that leaves the bracket falls back to the geometric midpoint.

@@ -8,7 +8,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -478,15 +477,6 @@ class TestReport:
         once = run_cli(capsys, "report", "--q", "0.4")
         assert run_cli(capsys, "report", "--q", "0.4", "--q", "0.4") == once
         assert len(json.loads(once[1])["ratio_curves"]) == 1
-
-    def test_failed_recovery_row_fails_the_report(self, capsys, monkeypatch):
-        # a scan that stops at xi_p = 0.05 leaves the q = 1/2 recovery rows from
-        # coupling 0.42 on without a sign change; none of them may be dropped
-        monkeypatch.setattr("harmonium.solver._SCAN", np.geomspace(1e-12, 0.05, 2048))
-        code, out, err = run_cli(capsys, "report", "--q", "0.4")
-        assert code == 3 and out == ""
-        assert err.startswith("solver failure: no sign change")
-        assert err.rstrip().endswith("(coupling=0.42000000000000004, q=0.5)")
 
 
 def _per_cell_csv_text(rows):
