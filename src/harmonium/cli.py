@@ -35,7 +35,8 @@ from . import entropy as ent
 from . import oracle as orc
 from . import solver as slv
 from .errors import BracketError, DomainError, NoCrossingError
-from .model import ModelParams, derive_frequencies, exact_energy, hartree_fock
+from .model import (LAMBDA_STABILITY, ModelParams, _xi, derive_frequencies, exact_energy,
+                    hartree_fock)
 from .mueller import KernelSpec, energy_parametric
 
 __all__ = ["main", "run"]
@@ -199,10 +200,8 @@ def cmd_figure1(args) -> int:
     failed = 0
     nan = float("nan")
     for i, lam in enumerate(grid):
-        try:
-            xi = derive_frequencies(ModelParams(coupling=lam)).xi
-        except DomainError:
-            xi = nan
+        # NaN where ModelParams refuses lam; decided first, as log1p(-1.0) raises at lam = 0.5
+        xi = _xi(lam) if lam < LAMBDA_STABILITY else nan
         row = [lam, xi]
         # a failed batch row holds NaN in xi_p and blanks only its own q's columns
         for batch in batches:

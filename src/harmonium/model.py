@@ -134,12 +134,7 @@ class EnergyBreakdown:
 
 
 def derive_frequencies(params: ModelParams) -> DerivedFrequencies:
-    """Normal-mode frequencies, their means, and the correlation parameter.
-
-    xi is evaluated from the quarter-power closed form in the coupling, with
-    1 - (1 - 2*coupling)^(1/4) taken as -expm1(log1p(-2*coupling)/4) so that
-    it keeps its relative accuracy at small coupling; z is kept for its sign.
-    """
+    """Normal-mode frequencies, their means, and xi, accurate at small coupling (`_xi`)."""
     omega1 = params.omega0
     omega2 = params.omega0 * math.sqrt(1.0 - 2.0 * params.coupling)
     omega_s = 2.0 * omega1 * omega2 / (omega1 + omega2)
@@ -147,9 +142,15 @@ def derive_frequencies(params: ModelParams) -> DerivedFrequencies:
     s1 = math.sqrt(omega1)
     s2 = math.sqrt(omega2)
     z = -(s1 - s2) / (s1 + s2)
-    one_minus_u = -math.expm1(math.log1p(-2.0 * params.coupling) / 4.0)
-    xi = (one_minus_u / (2.0 - one_minus_u)) ** 2
-    return DerivedFrequencies(omega1, omega2, omega_s, omega_bar, z, xi)
+    return DerivedFrequencies(omega1, omega2, omega_s, omega_bar, z, _xi(params.coupling))
+
+
+def _xi(coupling: float) -> float:
+    """xi of one coupling below 0.5 from the quarter-power closed form, with 1 - (1 -
+    2*coupling)^(1/4) taken as -expm1(log1p(-2*coupling)/4) so that it keeps its
+    relative accuracy at small coupling; sweep and figure1 call it on each coupling."""
+    one_minus_u = -math.expm1(math.log1p(-2.0 * coupling) / 4.0)
+    return (one_minus_u / (2.0 - one_minus_u)) ** 2
 
 
 def exact_energy(params: ModelParams) -> EnergyBreakdown:

@@ -33,8 +33,7 @@ without a domain check, as the brackets keep every iterate inside (0, 1);
 `stationarity_lhs` runs twice per batch, on the grid and for the residuals.
 `solve_xi_p` is a batch of one on the same path, and `sweep`,
 `scaling_exponent` and the CLI make one `solve_batch` call per q.  `sweep`
-alone turns solved rows into dicts keyed by their column names, with the
-q-independent columns computed once per coupling.
+builds each of its columns as one array, the q-independent ones once per grid.
 
 Why one search in the grid brackets every root.  With t = -ln xi,
 
@@ -60,10 +59,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import dual_coupling, linear_entropy, purity
+from .entropy import linear_entropy, purity
 from .errors import BracketError, DomainError, NoCrossingError
-from .model import LAMBDA_MAX, ModelParams, derive_frequencies, exact_energy
-from .mueller import XI_P_MAX, KernelSpec, energy_parametric
+from .model import LAMBDA_MAX, ModelParams, _xi, derive_frequencies
+from .mueller import XI_P_MAX
 
 __all__ = [
     "Q_MIN",
@@ -216,24 +215,25 @@ def _solve(q: float, couplings) -> BatchSolution:
     # trace that wraps the public functions (benchmark/tracing.py).
     _check_q(q)
     lams = tuple(float(lam) for lam in couplings)
-    n = len(lams)
+    lam, n = np.array(lams), len(lams)
     rhs = np.full(n, math.nan)
     xi_p = np.full(n, math.nan)
     residual = np.full(n, math.nan)
     iterations = np.zeros(n, dtype=int)
     errors: list[Exception | None] = [None] * n
 
-    # Errors are stored without their tracebacks: a traceback would hold this
-    # frame and with it `errors`, a cycle that only the cyclic GC frees.
-    for i, lam in enumerate(lams):
+    # stationarity_rhs over the array; a refused coupling keeps the error it raises there,
+    # without the traceback, which would tie this frame and `errors` in a cycle for the GC.
+    valid = (0.0 <= lam) & (lam <= LAMBDA_MAX)
+    s = np.sqrt(1.0 - 2.0 * lam[valid])
+    rhs[valid] = lam[valid] * _scalar(pow, 1.0 / (2.0 * (2.0 * s / (1.0 + s))), 2)
+    for i in np.flatnonzero(~valid):
         try:
-            rhs[i] = stationarity_rhs(ModelParams(coupling=lam))
+            stationarity_rhs(ModelParams(coupling=lams[i]))
         except DomainError as exc:
             errors[i] = exc.with_traceback(None)
-        else:
-            if lam == 0.0:
-                xi_p[i] = residual[i] = 0.0
-    rows = np.array([i for i in range(n) if errors[i] is None and lams[i] != 0.0], dtype=int)
+    xi_p[lam == 0.0] = residual[lam == 0.0] = 0.0
+    rows = np.flatnonzero(valid & (lam != 0.0))
 
     # Bracket [lo, hi] with lhs(lo) = llo < rhs < lhs(hi) = lhi by one binary
     # search in the grid; a grid point where lhs equals rhs is the root.  Every
@@ -290,6 +290,11 @@ def _solve(q: float, couplings) -> BatchSolution:
     return BatchSolution(rhs, xi_p, iterations, residual, tuple(errors))
 
 
+def _scalar(f, x: np.ndarray, *args) -> np.ndarray:
+    """f(v, *args) for each element v of x as a Python float: pow on libm, not numpy's loop."""
+    return np.fromiter(map(f, x.tolist(), *([arg] * x.size for arg in args)), float, x.size)
+
+
 def sweep(params_base: ModelParams, q_list, lambda_grid) -> list[dict]:
     """Solve every (q, coupling) pair and collect rows, q-major then
     coupling-minor, both ascending.
@@ -297,38 +302,38 @@ def sweep(params_base: ModelParams, q_list, lambda_grid) -> list[dict]:
     Each row is a dict keyed by the sweep table's column names, in table
     order.  Each q is one `solve_batch` call over the whole grid, and a row
     that fails holds NaN and the solver's error text in "error" instead of
-    raising; the solver alone decides which couplings fail.  The columns
-    that do not depend on q (xi, the exact energy and entropy, the dual
-    coupling and its entropy) are computed once per coupling, on its first
-    solved row.  Only the two energy columns depend on params_base's omega0.
+    raising; the solver alone decides which couplings fail.  Each column is
+    one array, once for the grid if it does not depend on q, else once per
+    batch, formed by its scalar function's operations in their order, with
+    pow, expm1 and log1p on scalar libm.  Only the two energy columns depend
+    on params_base's omega0.
     """
-    nan = math.nan
     qs = sorted(set(float(q) for q in q_list))
     lams = sorted(set(float(lam) for lam in lambda_grid))
-    exact = {}
+    # only couplings in [0, LAMBDA_MAX] solve; 0.0 stands in for the others, whose rows fail
+    lam = np.array([v if 0.0 <= v <= LAMBDA_MAX else 0.0 for v in lams])
+    w0 = params_base.omega0
+    w2 = w0 * np.sqrt(1.0 - 2.0 * lam)
+    w_s = 2.0 * w0 * w2 / (w0 + w2)
+    external, scale = w0 ** 2 / (2.0 * w_s), 0.5 * lam * w0 ** 2 / w_s
+    xi, dual = _scalar(_xi, lam), -lam / (1.0 - 2.0 * lam)
+    exact = np.column_stack((0.25 * (w0 + w2) + external + (0.0 - scale * (2.0 - w_s / w0)),
+                             linear_entropy(xi), dual, linear_entropy(_scalar(_xi, dual))))
+    exact[lam == 0.0, 2:] = math.nan  # the uncoupled row has no dual
     rows = []
     for q in qs:
         batch = solve_batch(q, lams)
-        spec = KernelSpec.sum_one(q)
-        for lam, xi_p, error in zip(lams, batch.xi_p.tolist(), batch.errors):
-            if error is not None:
-                rows.append(dict(zip(_SWEEP_COLUMNS, (q, lam, *[nan] * 10, str(error)))))
-                continue
-            if lam not in exact:
-                params = ModelParams(omega0=params_base.omega0, coupling=lam)
-                xi = derive_frequencies(params).xi
-                lam_dual = l_dual = nan
-                if lam > 0.0:
-                    lam_dual = dual_coupling(lam)
-                    l_dual = linear_entropy(derive_frequencies(ModelParams(coupling=lam_dual)).xi)
-                exact[lam] = (params, xi, exact_energy(params).total, linear_entropy(xi),
-                              lam_dual, l_dual)
-            params, xi, e_ex, l_ex, lam_dual, l_dual = exact[lam]
-            rows.append(dict(zip(_SWEEP_COLUMNS, (
-                q, lam, xi, xi_p, xi_p / xi if xi > 0.0 else nan,
-                energy_parametric(params, spec, xi_p).total, e_ex, purity(xi_p),
-                linear_entropy(xi_p), l_ex, lam_dual, l_dual, None,
-            ))))
+        ok = np.flatnonzero([error is None for error in batch.errors])
+        xp = batch.xi_p[ok]
+        bracket = 2.0 - (1.0 - _scalar(pow, xp, q)) * (1.0 - _scalar(pow, xp, 1.0 - q)) / (1.0 + xp)
+        kinetic = 0.5 * w_s[ok] * _scalar(pow, (1.0 + xp) / (1.0 - xp), 2)
+        table = np.full((len(lams), 10), math.nan)
+        table[ok] = np.column_stack((
+            xi[ok], xp, xp / np.where(xi[ok] > 0.0, xi[ok], math.nan),
+            kinetic + external[ok] + (0.0 - scale[ok] * bracket), exact[ok, 0],
+            purity(xp), linear_entropy(xp), *exact[ok, 1:].T))
+        rows += [dict(zip(_SWEEP_COLUMNS, (q, coupling, *cols, None if err is None else str(err))))
+                 for coupling, cols, err in zip(lams, table.tolist(), batch.errors)]
     return rows
 
 

@@ -32,6 +32,10 @@ SWEEP_FIXTURES = [
     # 288-row sweeps of the benchmark's shape, each with one error row per q past LAMBDA_MAX
     ("sweep_grid_log.csv", "1.5e-9:0.49995:96:log", ("--q", "0.5", "--q", "0.3512", "--q", "0.6123"), 0),
     ("sweep_grid_linear.csv", "0.005:0.49993:96", ("--q", "0.5", "--q", "0.4187", "--q", "0.6655"), 0),
+    # both energy columns at omega0 != 1 and at couplings down to 1e-300; 140 rows find no
+    # root above xi_p = 1e-290
+    ("sweep_omega2p5.csv", "1e-300:0.4999:120:log",
+     ("--omega0", "2.5", "--q", "0.3", "--q", "0.5", "--q", "0.7"), 1),
 ]
 
 #: A value for each flag that takes one; --tamper is store_true and takes none.

@@ -10,10 +10,16 @@ from harmonium import solver as solver_module
 from harmonium import (
     BracketError,
     DomainError,
+    KernelSpec,
     ModelParams,
     NoCrossingError,
     derive_frequencies,
+    dual_coupling,
+    energy_parametric,
+    exact_energy,
     find_crossing,
+    linear_entropy,
+    purity,
     scaling_exponent,
     solve_batch,
     solve_xi_p,
@@ -210,6 +216,57 @@ class TestSolve:
         assert sol.residual <= 1e-13 * max(1.0, sol.rhs)
 
 
+#: Couplings at and past the edges of the solver's window [0, LAMBDA_MAX]: 0, 1e-300,
+#: negative ones, and ones past LAMBDA_MAX and past the stability bound 0.5.
+_EDGE_COUPLINGS = st.lists(st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, LAMBDA_MAX, 0.5, -math.inf, math.inf]),
+    st.floats(-10.0, 0.0, exclude_max=True),
+    st.floats(LAMBDA_MAX, 0.5, exclude_min=True),
+    st.floats(0.5, 10.0),
+), max_size=8)
+
+
+def _window_couplings(seed: int, n: int) -> list[float]:
+    """n couplings uniform in [0, LAMBDA_MAX] and n log-uniform from 1e-300 to LAMBDA_MAX.
+    libm's pow and numpy's array power round apart on about 1 input in 1200 for a square
+    and 6 in 100 for a fractional power, so a property needs inputs by the thousand."""
+    rng = np.random.default_rng(seed)
+    log_spaced = 10.0 ** rng.uniform(-300.0, math.log10(LAMBDA_MAX), n)
+    return rng.uniform(0.0, LAMBDA_MAX, n).tolist() + log_spaced.tolist()
+
+
+def _per_row_sweep(params_base, q_list, lambda_grid):
+    """`sweep` one row at a time through the public scalar functions: the
+    reference whose bits the column arrays must keep."""
+    nan = math.nan
+    lams = sorted(set(float(lam) for lam in lambda_grid))
+    rows = []
+    for q in sorted(set(float(q) for q in q_list)):
+        batch = solve_batch(q, lams)
+        for lam, xi_p, error in zip(lams, batch.xi_p.tolist(), batch.errors):
+            if error is not None:
+                rows.append((q, lam, *[nan] * 10, str(error)))
+                continue
+            params = ModelParams(omega0=params_base.omega0, coupling=lam)
+            xi = derive_frequencies(params).xi
+            lam_dual = l_dual = nan
+            if lam > 0.0:
+                lam_dual = dual_coupling(lam)
+                l_dual = linear_entropy(derive_frequencies(ModelParams(coupling=lam_dual)).xi)
+            rows.append((
+                q, lam, xi, xi_p, xi_p / xi if xi > 0.0 else nan,
+                energy_parametric(params, KernelSpec.sum_one(q), xi_p).total,
+                exact_energy(params).total, purity(xi_p), linear_entropy(xi_p),
+                linear_entropy(xi), lam_dual, l_dual, None,
+            ))
+    return rows
+
+
+def _bits(value):
+    """A float by its exact bits (every NaN alike), anything else as it is."""
+    return (type(value), value.hex()) if isinstance(value, float) else value
+
+
 class TestSweep:
     def test_ordering_and_shape(self):
         rows = sweep(BASE, [0.5, 0.4], [0.3, 0.1, 0.2])
@@ -248,15 +305,22 @@ class TestSweep:
         r = sweep(BASE, [0.5], [1e-9])[0]
         assert abs(r["ratio"] - 1.0) <= 1e-13
 
-    def test_q_independent_columns_once_per_solved_coupling(self, monkeypatch):
-        # -0.1 and 0.49995 fail their solves, so only 0.3 needs the exact columns
-        calls = []
-        exact_energy = solver_module.exact_energy
-        monkeypatch.setattr(solver_module, "exact_energy",
-                            lambda params: calls.append(params) or exact_energy(params))
-        rows = sweep(BASE, [0.5], [-0.1, 0.3, 0.49995])
-        assert [r["error"] is None for r in rows] == [False, True, False]
-        assert calls == [ModelParams(coupling=0.3)]
+    @settings(max_examples=30, deadline=None)
+    @given(
+        omega0=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+        qs=st.lists(st.floats(0.3, 0.7), min_size=1, max_size=3),
+        seed=st.integers(0, 2 ** 32 - 1),
+        edges=_EDGE_COUPLINGS,
+    )
+    def test_rows_match_the_per_row_reference(self, omega0, qs, seed, edges):
+        # the column arrays keep every bit of the scalar functions, error rows included
+        params = ModelParams(omega0=omega0)
+        lams = _window_couplings(seed, 200) + edges
+        rows = sweep(params, qs, lams)
+        expected = _per_row_sweep(params, qs, lams)
+        assert [list(row) for row in rows] == [list(solver_module._SWEEP_COLUMNS)] * len(rows)
+        assert [[_bits(v) for v in row.values()] for row in rows] == [
+            [_bits(v) for v in row] for row in expected]
 
 
 class TestBatch:
@@ -322,6 +386,28 @@ class TestBatch:
                 else:
                     assert "down to xi_p = 1e-290" in str(error), (q, i)
             assert batch.errors[-1] is None, q
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        q=st.floats(0.3, 0.7),
+        seed=st.integers(0, 2 ** 32 - 1),
+        edges=_EDGE_COUPLINGS,
+        refused=st.lists(st.floats(allow_nan=True).filter(lambda v: not 0.0 <= v <= LAMBDA_MAX),
+                         max_size=8),
+    )
+    def test_rhs_matches_the_scalar_rhs(self, q, seed, edges, refused):
+        # bit for bit over the window, and the scalar path's error text outside it
+        lams = _window_couplings(seed, 500) + edges + refused
+        batch = solve_batch(q, lams)
+        for lam, rhs, error in zip(lams, batch.rhs.tolist(), batch.errors):
+            if 0.0 <= lam <= LAMBDA_MAX:
+                assert rhs.hex() == stationarity_rhs(ModelParams(coupling=lam)).hex(), lam
+                assert not isinstance(error, DomainError), lam
+            else:
+                with pytest.raises(DomainError) as single:
+                    stationarity_rhs(ModelParams(coupling=lam))
+                assert isinstance(error, DomainError) and str(error) == str(single.value), lam
+                assert math.isnan(rhs), lam
 
     @settings(max_examples=40, deadline=None)
     @given(
