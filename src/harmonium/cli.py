@@ -3,13 +3,13 @@
 Subcommands: solve (one stationarity problem), sweep (grids of them),
 figure1 (the two ratio curves on the standard grid), verify (quadrature
 cross-checks as JSON), report (crossings, scaling exponents, mean-field
-summary).  Each takes only the flags its cmd_* reads (`_SUBCOMMANDS`),
-and argparse holds their types and defaults.  Outputs are
-CSV (comma separated, header row, LF, UTF-8, 17 significant digits) or
-JSON, written atomically when --out is given; an --out that cannot be
-written is a domain error.  Each of sweep, figure1 and report solves
-one batch of couplings per exponent.  The argument
-parser is built once per process; `main` dispatches to the module's
+summary).  Each takes only the flags its cmd_* reads (`_SUBCOMMANDS`), and
+argparse holds their types and defaults.  Outputs are CSV (comma separated,
+header row, LF, UTF-8, 17 significant digits) or JSON, written atomically
+when --out is given; an --out that cannot be written is a domain error.
+sweep, figure1 and report solve one batch of couplings per exponent, and
+tables stay columns up to the writer, which formats a repeated number once.
+The parser is built once per process; `main` dispatches to the module's
 `cmd_<subcommand>` function by name at call time.
 
 Exit codes: 0 success, 1 failed checks or too many failed rows, 2 domain
@@ -41,8 +41,6 @@ from .mueller import KernelSpec, energy_parametric
 
 __all__ = ["main", "run"]
 
-_FIGURE1_HEADER = ["lambda", "xi", "xi_p_q04", "R_q04", "xi_p_q03", "R_q03"]
-
 _HF_NOTE = (
     "The mean-field functional omega/2 + (1 - lambda)*omega0^2/(2*omega) attains its "
     "minimum omega0*sqrt(1 - lambda) at omega = omega0*sqrt(1 - lambda). A commonly "
@@ -67,11 +65,13 @@ def _parse_grid(text: str) -> list[float]:
         raise DomainError(f"grid endpoints must be finite, got {text!r}")
     if count < 2:
         raise DomainError(f"grids need at least 2 points, got {count}")
-    if len(parts) == 4:
-        if start <= 0.0 or stop <= 0.0:
-            raise DomainError("log grids need positive endpoints")
-        return [float(v) for v in np.geomspace(start, stop, count)]
-    return [float(v) for v in np.linspace(start, stop, count)]
+    if len(parts) == 4 and (start <= 0.0 or stop <= 0.0):
+        raise DomainError("log grids need positive endpoints")
+    with np.errstate(over="ignore", invalid="ignore"):  # a linear span can overflow: see below
+        grid = (np.geomspace if len(parts) == 4 else np.linspace)(start, stop, count)
+    if not np.isfinite(grid).all():
+        raise DomainError(f"grid points must be finite, got {text!r}")
+    return grid.tolist()
 
 
 def _csv_field(value) -> str:
@@ -83,18 +83,22 @@ def _csv_field(value) -> str:
     return buf.getvalue()[:-2]
 
 
-def _csv_text(rows: list[dict]) -> str:
-    """The rows under a header of the first row's keys.  One "%.17g" template
-    per row prints the columns that hold a number in the first row."""
+def _csv_text(columns: dict, failed=False) -> str:
+    """A table given by its columns (`solver._rows`) under a header of their names.
+    Each column is formatted at its own shape before it is spread over the rows,
+    numbers by "%.17g", so a number the table repeats is formatted once."""
+    texts = {}
+    for name, col in columns.items():
+        values = np.asarray(col)
+        cells = values.ravel().tolist()
+        if values.dtype.kind in "iuf":
+            cells = (",".join(["%.17g"] * len(cells)) % tuple(cells)).split(",")
+        else:
+            cells = list(map(_csv_field, cells))
+        texts[name] = np.array(cells, object).reshape(values.shape)
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(rows[0])
-    text = [j for j, v in enumerate(rows[0].values()) if not isinstance(v, (int, float))]
-    template = ",".join("%s" if j in text else "%.17g" for j in range(len(rows[0]))) + "\n"
-    for row in rows:
-        cells = list(row.values())
-        for j in text:
-            cells[j] = _csv_field(cells[j])
-        buf.write(template % tuple(cells))
+    csv.writer(buf, lineterminator="\n").writerow(columns)
+    buf.write("\n".join(map(",".join, slv._rows(texts, failed, "nan"))) + "\n")
     return buf.getvalue()
 
 
@@ -131,10 +135,13 @@ def _emit(text: str, out: str | None):
         raise DomainError(f"cannot write {out}: {exc.strerror}") from None
 
 
-def _emit_table(args, rows: list[dict], failed: int) -> int:
-    """Write the rows as CSV or as a JSON list; exit code 1 when over a tenth failed."""
-    _emit(_json_text(rows) if args.format == "json" else _csv_text(rows), args.out)
-    return 1 if failed > 0.1 * len(rows) else 0
+def _emit_table(args, columns: dict, failed: np.ndarray, masked=False) -> int:
+    """Write the table as CSV or as a JSON list of rows, the rows `masked` marks
+    reading NaN (`solver._rows`); exit code 1 when over a tenth of rows failed."""
+    text = (_json_text([dict(zip(columns, row)) for row in slv._rows(columns, masked)])
+            if args.format == "json" else _csv_text(columns, masked))
+    _emit(text, args.out)
+    return 1 if failed.sum() > 0.1 * failed.size else 0
 
 
 def cmd_solve(args) -> int:
@@ -168,7 +175,7 @@ def cmd_solve(args) -> int:
         "linear_entropy": ent.linear_entropy(sol.xi_p),
         "quasiparticle_weight": ent.quasiparticle_weight(sol.xi_p),
     }
-    _emit(_json_text(record) if args.format == "json" else _csv_text([record]), args.out)
+    _emit(_json_text(record) if args.format == "json" else _csv_text(record), args.out)
     return 0
 
 
@@ -185,32 +192,24 @@ def _grid_from_args(args) -> list[float]:
 def cmd_sweep(args) -> int:
     grid = _grid_from_args(args)
     qs = args.q if args.q else [0.5, 0.4, 0.3]
-    params = ModelParams(omega0=args.omega0)
-    rows = slv.sweep(params, qs, grid)
-    return _emit_table(args, rows, sum(r["error"] is not None for r in rows))
+    columns, failed = slv.sweep(ModelParams(omega0=args.omega0), qs, grid)
+    return _emit_table(args, columns, failed, failed)
 
 
 def cmd_figure1(args) -> int:
-    if args.lambda_grid is not None:
-        grid = _parse_grid(args.lambda_grid)
-    else:
-        grid = [float(v) for v in np.linspace(0.005, 0.495, 99)]
-    batches = [slv.solve_batch(0.4, grid), slv.solve_batch(0.3, grid)]
-    rows = []
-    failed = 0
-    nan = float("nan")
-    for i, lam in enumerate(grid):
-        # NaN where ModelParams refuses lam; decided first, as log1p(-1.0) raises at lam = 0.5
-        xi = _xi(lam) if lam < LAMBDA_STABILITY else nan
-        row = [lam, xi]
+    grid = _parse_grid("0.005:0.495:99" if args.lambda_grid is None else args.lambda_grid)
+    # NaN where ModelParams refuses lam; decided first, as log1p(-1.0) raises at lam = 0.5
+    xi = np.array([_xi(lam) if lam < LAMBDA_STABILITY else math.nan for lam in grid])
+    columns = {"lambda": np.array(grid), "xi": xi}
+    failed = np.zeros(len(grid), bool)
+    for q, tag in ((0.4, "q04"), (0.3, "q03")):
         # a failed batch row holds NaN in xi_p and blanks only its own q's columns
-        for batch in batches:
-            xi_p = float(batch.xi_p[i])
-            row += [xi_p, xi_p / xi if xi > 0.0 else nan]
-        # xi is NaN only where ModelParams refused lam, and then both batch rows failed too
-        failed += any(batch.errors[i] is not None for batch in batches)
-        rows.append(dict(zip(_FIGURE1_HEADER, row)))
-    return _emit_table(args, rows, failed)
+        batch = slv.solve_batch(q, grid)
+        columns[f"xi_p_{tag}"] = batch.xi_p
+        columns[f"R_{tag}"] = batch.xi_p / np.where(xi > 0.0, xi, math.nan)
+        failed |= [error is not None for error in batch.errors]
+    # xi is NaN only where ModelParams refused lam, and then both batch rows failed too
+    return _emit_table(args, columns, failed)
 
 
 def cmd_verify(args) -> int:
@@ -234,12 +233,10 @@ def cmd_report(args) -> int:
         curves.append(entry)
 
     lam_grid = [float(v) for v in np.linspace(0.02, 0.44, 22)]
-    recovery = slv.sweep(params, [0.5], lam_grid)
-    max_xi_gap = max([0.0] + [abs(r["xi_p"] - r["xi"]) for r in recovery])
-    max_energy_gap = max([0.0] + [abs(r["e_p_total"] - r["e_ex_total"]) / r["e_ex_total"]
-                                  for r in recovery])
-    max_duality_gap = max([0.0] + [abs(r["linear_entropy_exact"] - r["dual_linear_entropy"])
-                                   for r in recovery])
+    r = slv.sweep(params, [0.5], lam_grid)[0]
+    max_xi_gap, max_energy_gap, max_duality_gap = (max([0.0, *np.abs(gap).tolist()]) for gap in (
+        r["xi_p"][0] - r["xi"], (r["e_p_total"][0] - r["e_ex_total"]) / r["e_ex_total"],
+        r["linear_entropy_exact"] - r["dual_linear_entropy"]))
 
     mean_field = []
     for lam in (0.1, 0.36):

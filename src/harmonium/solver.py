@@ -33,7 +33,8 @@ without a domain check, as the brackets keep every iterate inside (0, 1);
 `stationarity_lhs` runs twice per batch, on the grid and for the residuals.
 `solve_xi_p` is a batch of one on the same path, and `sweep`,
 `scaling_exponent` and the CLI make one `solve_batch` call per q.  `sweep`
-builds each of its columns as one array, the q-independent ones once per grid.
+returns its table as columns, each one array, the q-independent ones once
+per grid and the others once per batch, which the CLI formats column-wise.
 
 Why one search in the grid brackets every root.  With t = -ln xi,
 
@@ -267,11 +268,12 @@ def _solve(q: float, couplings) -> BatchSolution:
             break
         xa, ra, lo_a, hi_a = x[active], r[active], lo[active], hi[active]
         outside = ~((lo_a < xa) & (xa < hi_a))
-        # lo * hi leaves the normal doubles for brackets below ~1.5e-154; elsewhere
-        # sqrt(lo) * sqrt(hi) would move roots by an ulp
-        lo_o, hi_o = lo_a[outside], hi_a[outside]
-        xa[outside] = np.where(lo_o * hi_o >= np.finfo(float).tiny, np.sqrt(lo_o * hi_o),
-                               np.sqrt(lo_o) * np.sqrt(hi_o))
+        if outside.any():
+            # lo * hi leaves the normal doubles for brackets below ~1.5e-154; elsewhere
+            # sqrt(lo) * sqrt(hi) would move roots by an ulp
+            lo_o, hi_o = lo_a[outside], hi_a[outside]
+            xa[outside] = np.where(lo_o * hi_o >= np.finfo(float).tiny, np.sqrt(lo_o * hi_o),
+                                   np.sqrt(lo_o) * np.sqrt(hi_o))
         # every iterate lies inside its bracket, within (0, 1): no domain check
         fa, slope = _lhs(q, xa, slope=True)
         steps[active] += 1
@@ -295,18 +297,17 @@ def _scalar(f, x: np.ndarray, *args) -> np.ndarray:
     return np.fromiter(map(f, x.tolist(), *([arg] * x.size for arg in args)), float, x.size)
 
 
-def sweep(params_base: ModelParams, q_list, lambda_grid) -> list[dict]:
-    """Solve every (q, coupling) pair and collect rows, q-major then
-    coupling-minor, both ascending.
+def sweep(params_base: ModelParams, q_list, lambda_grid) -> tuple[dict, np.ndarray]:
+    """Solve every (q, coupling) pair: the table's columns, and the mask of its failed rows.
 
-    Each row is a dict keyed by the sweep table's column names, in table
-    order.  Each q is one `solve_batch` call over the whole grid, and a row
-    that fails holds NaN and the solver's error text in "error" instead of
-    raising; the solver alone decides which couplings fail.  Each column is
-    one array, once for the grid if it does not depend on q, else once per
-    batch, formed by its scalar function's operations in their order, with
-    pow, expm1 and log1p on scalar libm.  Only the two energy columns depend
-    on params_base's omega0.
+    Rows run q-major then coupling-minor, both ascending; each column, keyed by
+    its name in table order, broadcasts to (q, coupling): q once per q, lambda
+    and the q-independent columns once per grid, the others once per
+    `solve_batch`, and "error" the solver's error texts, None where the row
+    solved.  The solver alone decides which rows fail, and a failed row reads
+    NaN in every number but q and lambda, as `_rows` lays the table out.
+    Columns follow their scalar functions' operations, with pow, expm1 and
+    log1p on scalar libm; only the two energy columns depend on omega0.
     """
     qs = sorted(set(float(q) for q in q_list))
     lams = sorted(set(float(lam) for lam in lambda_grid))
@@ -317,24 +318,31 @@ def sweep(params_base: ModelParams, q_list, lambda_grid) -> list[dict]:
     w_s = 2.0 * w0 * w2 / (w0 + w2)
     external, scale = w0 ** 2 / (2.0 * w_s), 0.5 * lam * w0 ** 2 / w_s
     xi, dual = _scalar(_xi, lam), -lam / (1.0 - 2.0 * lam)
-    exact = np.column_stack((0.25 * (w0 + w2) + external + (0.0 - scale * (2.0 - w_s / w0)),
-                             linear_entropy(xi), dual, linear_entropy(_scalar(_xi, dual))))
-    exact[lam == 0.0, 2:] = math.nan  # the uncoupled row has no dual
-    rows = []
-    for q in qs:
+    dual_entropy = linear_entropy(_scalar(_xi, dual))
+    dual[lam == 0.0] = dual_entropy[lam == 0.0] = math.nan  # the uncoupled row has no dual
+    per_q = np.full((5, len(qs), len(lams)), math.nan)
+    errors = np.full(per_q.shape[1:], None, dtype=object)
+    for b, q in enumerate(qs):
         batch = solve_batch(q, lams)
-        ok = np.flatnonzero([error is None for error in batch.errors])
+        errors[b] = [None if error is None else str(error) for error in batch.errors]
+        ok = np.flatnonzero(np.equal(errors[b], None))
         xp = batch.xi_p[ok]
         bracket = 2.0 - (1.0 - _scalar(pow, xp, q)) * (1.0 - _scalar(pow, xp, 1.0 - q)) / (1.0 + xp)
         kinetic = 0.5 * w_s[ok] * _scalar(pow, (1.0 + xp) / (1.0 - xp), 2)
-        table = np.full((len(lams), 10), math.nan)
-        table[ok] = np.column_stack((
-            xi[ok], xp, xp / np.where(xi[ok] > 0.0, xi[ok], math.nan),
-            kinetic + external[ok] + (0.0 - scale[ok] * bracket), exact[ok, 0],
-            purity(xp), linear_entropy(xp), *exact[ok, 1:].T))
-        rows += [dict(zip(_SWEEP_COLUMNS, (q, coupling, *cols, None if err is None else str(err))))
-                 for coupling, cols, err in zip(lams, table.tolist(), batch.errors)]
-    return rows
+        per_q[:, b, ok] = (xp, xp / np.where(xi[ok] > 0.0, xi[ok], math.nan),
+                           kinetic + external[ok] + (0.0 - scale[ok] * bracket),
+                           purity(xp), linear_entropy(xp))
+    e_ex_total = 0.25 * (w0 + w2) + external + (0.0 - scale * (2.0 - w_s / w0))
+    columns = (np.array(qs)[:, None], np.array(lams), xi, *per_q[:3], e_ex_total, *per_q[3:],
+               linear_entropy(xi), dual, dual_entropy, errors)
+    return dict(zip(_SWEEP_COLUMNS, columns)), np.not_equal(errors, None)
+
+
+def _rows(columns: dict, failed=False, blank=math.nan) -> list[tuple]:
+    """A table's rows, blocks first, from its columns broadcast against each other
+    and `failed`, with `blank` in the failed rows of every column but q, lambda and error."""
+    return list(zip(*[np.where(failed & (name not in ("q", "lambda", "error")), blank, col)
+                      .ravel().tolist() for name, col in columns.items()]))
 
 
 def _crossing_gap(q: float, xi: float) -> tuple[float, float]:

@@ -52,6 +52,12 @@ IGNORED_FLAGS = [
 ]
 
 
+def _sweep_rows(params_base, q_list, lambda_grid):
+    """`sweep`'s table as one dict per row, laid out as the CLI's JSON lays it out."""
+    columns, failed = slv.sweep(params_base, q_list, lambda_grid)
+    return [dict(zip(columns, row)) for row in slv._rows(columns, failed)]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -97,6 +103,16 @@ class TestParser:
             code, out, err = run_cli(capsys, command, "--lambda-grid", spec)
         assert code == 2 and out == ""
         assert err == f"error: grid endpoints must be finite, got {spec!r}\n"
+
+    @pytest.mark.parametrize("command, spec", [("sweep", "-1e308:1e308:5"),
+                                               ("figure1", "1.7e308:-1.7e308:3")])
+    def test_grid_whose_span_overflows_is_usage_error(self, capsys, command, spec):
+        # finite endpoints whose difference overflows would give inf and NaN couplings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command, f"--lambda-grid={spec}")
+        assert code == 2 and out == ""
+        assert err == f"error: grid points must be finite, got {spec!r}\n"
 
     @pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -274,7 +290,7 @@ class TestSweep:
         code, out, _ = run_cli(capsys, "sweep", "--lambda-grid=-0.1:0.5:4", "--q", "0.4")
         assert code == 1
         header = out.splitlines()[0].split(",")
-        rows = slv.sweep(ModelParams(), [0.4], [-0.1, 0.1, 0.3, 0.5])
+        rows = _sweep_rows(ModelParams(), [0.4], [-0.1, 0.1, 0.3, 0.5])
         assert [row["error"] is None for row in rows] == [False, True, True, False]
         assert all(list(row) == header for row in rows)
 
@@ -503,23 +519,49 @@ _CSV_TEXT = st.one_of(st.none(), st.text(st.sampled_from('ab ,;"\'\n\r\t='), max
 
 @st.composite
 def _csv_tables(draw):
-    """Rows whose columns each hold only numbers or only None and text."""
+    """Columns of one length, each holding only numbers or only None and text."""
     kinds = draw(st.lists(st.booleans(), min_size=1, max_size=6).filter(any))
-    return [{f"c{j}": draw(_CSV_NUMBERS if number else _CSV_TEXT) for j, number in enumerate(kinds)}
-            for _ in range(draw(st.integers(1, 5)))]
+    n = draw(st.integers(1, 5))
+    return {f"c{j}": draw(st.lists(_CSV_NUMBERS if number else _CSV_TEXT, min_size=n, max_size=n))
+            for j, number in enumerate(kinds)}
+
+
+def _json_nulls(rows):
+    """The rows with each NaN as None, as JSON writes them."""
+    return [{k: None if isinstance(v, float) and math.isnan(v) else v for k, v in row.items()}
+            for row in rows]
 
 
 class TestOutput:
     @settings(max_examples=300, deadline=None)
-    @given(rows=_csv_tables())
-    def test_csv_text_matches_the_per_cell_writer(self, rows):
-        assert cli._csv_text(rows) == _per_cell_csv_text(rows)
+    @given(columns=_csv_tables())
+    def test_csv_text_matches_the_per_cell_writer(self, columns):
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        assert cli._csv_text(columns) == _per_cell_csv_text(rows)
 
     def test_csv_text_of_sweep_rows_matches_the_per_cell_writer(self):
-        # error rows ahead of, among and after solved ones, and the uncoupled row
-        rows = slv.sweep(ModelParams(), [0.3, 0.5], [-0.1, 0.0, 1e-300, 1e-9, 0.3, 0.49995])
-        assert sum(r["error"] is not None for r in rows) >= 4
-        assert cli._csv_text(rows) == _per_cell_csv_text(rows)
+        # error rows ahead of, among and after solved ones, the uncoupled row at -0.0, and
+        # 1e-200, whose root falls below the decade floor at q = 0.5 but not at q = 0.3
+        grid = [-0.1, -0.0, 1e-300, 1e-200, 1e-9, 0.3, 0.49995]
+        rows = _sweep_rows(ModelParams(), [0.3, 0.5], grid)
+        assert [r["error"] is not None for r in rows] == [True, False, True, False, False, False,
+                                                          True, True, False, True, True, False,
+                                                          False, True]
+        assert rows[1]["lambda"] == 0.0 and math.copysign(1.0, rows[1]["lambda"]) == -1.0
+        columns, failed = slv.sweep(ModelParams(), [0.3, 0.5], grid)
+        text = cli._csv_text(columns, failed)
+        assert text == _per_cell_csv_text(rows)
+        assert text.splitlines()[2].startswith("0.29999999999999999,-0,0,0,nan,")
+
+    def test_sweep_json_is_the_rows_as_json(self, capsys):
+        # 1e-200 and 8.7e-161 fail at q = 0.5 only, and 0.49995 at both
+        code, out, _ = run_cli(capsys, "sweep", "--lambda-grid=1e-200:0.49995:6:log",
+                               "--q", "0.3", "--q", "0.5", "--format", "json")
+        assert code == 1
+        rows = _sweep_rows(ModelParams(), [0.3, 0.5], cli._parse_grid("1e-200:0.49995:6:log"))
+        failed = [False] * 5 + [True] * 3 + [False] * 3 + [True]
+        assert [r["error"] is not None for r in rows] == failed
+        assert out == json.dumps(_json_nulls(rows), indent=2) + "\n"
 
     def test_out_writes_atomically(self, capsys, tmp_path):
         target = tmp_path / "result.csv"

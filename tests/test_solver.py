@@ -262,6 +262,12 @@ def _per_row_sweep(params_base, q_list, lambda_grid):
     return rows
 
 
+def _sweep_rows(params_base, q_list, lambda_grid):
+    """`sweep`'s table as one dict per row, laid out as the CLI's JSON lays it out."""
+    columns, failed = sweep(params_base, q_list, lambda_grid)
+    return [dict(zip(columns, row)) for row in solver_module._rows(columns, failed)]
+
+
 def _bits(value):
     """A float by its exact bits (every NaN alike), anything else as it is."""
     return (type(value), value.hex()) if isinstance(value, float) else value
@@ -269,13 +275,13 @@ def _bits(value):
 
 class TestSweep:
     def test_ordering_and_shape(self):
-        rows = sweep(BASE, [0.5, 0.4], [0.3, 0.1, 0.2])
+        rows = _sweep_rows(BASE, [0.5, 0.4], [0.3, 0.1, 0.2])
         assert len(rows) == 6
         assert [r["q"] for r in rows] == [0.4, 0.4, 0.4, 0.5, 0.5, 0.5]
         assert [r["lambda"] for r in rows] == [0.1, 0.2, 0.3, 0.1, 0.2, 0.3]
 
     def test_record_content(self):
-        rows = sweep(BASE, [0.5], [0.3])
+        rows = _sweep_rows(BASE, [0.5], [0.3])
         r = rows[0]
         f = derive_frequencies(P03)
         assert r["xi"] == pytest.approx(f.xi, rel=1e-14)
@@ -287,7 +293,7 @@ class TestSweep:
         assert r["error"] is None
 
     def test_failures_are_recorded_not_raised(self):
-        rows = sweep(BASE, [0.5], [0.3, 0.49995])
+        rows = _sweep_rows(BASE, [0.5], [0.3, 0.49995])
         good = [r for r in rows if r["error"] is None]
         bad = [r for r in rows if r["error"] is not None]
         assert len(good) == 1 and len(bad) == 1
@@ -295,14 +301,31 @@ class TestSweep:
         assert "coupling" in bad[0]["error"]
 
     def test_uncoupled_row_has_undefined_ratio(self):
-        r = sweep(BASE, [0.5], [0.0])[0]
+        r = _sweep_rows(BASE, [0.5], [0.0])[0]
         assert r["xi_p"] == 0.0 and math.isnan(r["ratio"])
         assert math.isnan(r["dual_lambda"])
         assert r["error"] is None
 
+    def test_columns_are_held_once_per_grid_or_per_q(self):
+        # 1e-200 fails at q = 0.5 only: the failure mask is per q, not per coupling
+        columns, failed = sweep(BASE, [0.5, 0.3], [0.3, 1e-200, 0.1, 0.49995])
+        assert list(columns) == list(solver_module._SWEEP_COLUMNS)
+        shapes = {name: np.shape(col) for name, col in columns.items()}
+        assert shapes == {"q": (2, 1), "lambda": (4,), "xi": (4,), "xi_p": (2, 4), "ratio": (2, 4),
+                          "e_p_total": (2, 4), "e_ex_total": (4,), "purity": (2, 4),
+                          "linear_entropy": (2, 4), "linear_entropy_exact": (4,),
+                          "dual_lambda": (4,), "dual_linear_entropy": (4,), "error": (2, 4)}
+        assert columns["q"].ravel().tolist() == [0.3, 0.5]
+        assert columns["lambda"].tolist() == [1e-200, 0.1, 0.3, 0.49995]
+        assert failed.tolist() == [[False, False, False, True], [True, False, False, True]]
+        assert [[e is not None for e in row] for row in columns["error"]] == failed.tolist()
+        # the per-q columns hold NaN in failed rows; the grid columns keep their values
+        assert np.isnan(columns["xi_p"][failed]).all() and not np.isnan(columns["xi_p"][~failed]).any()
+        assert not math.isnan(columns["xi"][0])
+
     def test_tiny_coupling_ratio_at_square_root_exponent(self):
         # xi and xi_p both keep their relative accuracy at coupling 1e-9
-        r = sweep(BASE, [0.5], [1e-9])[0]
+        r = _sweep_rows(BASE, [0.5], [1e-9])[0]
         assert abs(r["ratio"] - 1.0) <= 1e-13
 
     @settings(max_examples=30, deadline=None)
@@ -316,7 +339,7 @@ class TestSweep:
         # the column arrays keep every bit of the scalar functions, error rows included
         params = ModelParams(omega0=omega0)
         lams = _window_couplings(seed, 200) + edges
-        rows = sweep(params, qs, lams)
+        rows = _sweep_rows(params, qs, lams)
         expected = _per_row_sweep(params, qs, lams)
         assert [list(row) for row in rows] == [list(solver_module._SWEEP_COLUMNS)] * len(rows)
         assert [[_bits(v) for v in row.values()] for row in rows] == [
