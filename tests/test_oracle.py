@@ -1,7 +1,9 @@
+import json
 import math
 import random
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +49,20 @@ from harmonium.oracle import (
 from harmonium.spectral import hermite_basis
 
 P03 = ModelParams(coupling=0.3)
+
+#: The scoreboard grid of `tests/fixtures/verify_grid.json`; 0.1431818181818182
+#: is a coupling at which a pair-array cache keyed on id(rule) once moved bits.
+GRID_LAMBDAS = (1e-9, 1e-6, 0.05, 0.1431818181818182, 0.4499)
+GRID_QS = (0.3, 0.3512, 0.5, 0.6123, 0.7)
+GRID_OMEGA0S = (1.0, 2.5)
+
+
+def verify_grid_text() -> str:
+    """The scoreboards over the grid as JSON, one entry per omega0."""
+    return json.dumps({
+        f"omega0={omega0:g}": run_verification(omega0=omega0, lambdas=GRID_LAMBDAS, qs=GRID_QS)
+        for omega0 in GRID_OMEGA0S
+    }, indent=2) + "\n"
 
 
 class TestRules:
@@ -567,6 +583,12 @@ class TestVerification:
         # untouched checks keep passing, so the skew is the only failure mode
         assert by_name["psi_norm[lam=0.3]"]["pass"]
         assert by_name["scan_vs_root[lam=0.3,q=0.5]"]["pass"]
+
+    def test_grid_matches_frozen_bytes(self):
+        # the fixture holds verify_grid_text() as it was before the row kernel
+        # and the half-grid sums, so every check kept its bits through them
+        fixture = Path(__file__).parent / "fixtures" / "verify_grid.json"
+        assert verify_grid_text() == fixture.read_text(encoding="utf-8")
 
     def test_strong_coupling_window(self):
         report = run_verification(lambdas=(0.45,), qs=(0.5,))
