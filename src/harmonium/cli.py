@@ -27,7 +27,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -120,9 +119,11 @@ def _emit(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(out)) or "."
+    # a fresh name created with mode 0o666, so the umask sets the mode of `out`
+    # as for any new file (mkstemp's would be 0o600)
+    tmp = os.path.join(os.path.dirname(os.path.abspath(out)), f".harmonium-{os.urandom(8).hex()}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".harmonium-")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)

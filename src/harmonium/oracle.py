@@ -18,11 +18,17 @@ The pair kernel is tabulated once per rule: `run_verification` takes its
 mass and interaction checks from the same grid, and each grid builds its
 reference basis once for both powers gamma^q and gamma^(1-q).
 
-Every quadrature sum is exact before its one rounding (`_fsum`, bit for
-bit math.fsum's: two levels of error-free extraction in numpy, certified
-or else handed to math.fsum), so results are deterministic and independent
-of evaluation order.  The sum is kept here rather than shared, which keeps
-the oracle independent of the layers it checks.
+Every quadrature sum is exact before its one rounding, bit for bit
+math.fsum's, so results are deterministic and independent of evaluation
+order: two levels of error-free extraction in numpy, certified by one
+shared step (`_certified`) or else handed to math.fsum.  `_fsum` takes a
+long array, `_fsum_rows` every row of a 2-D array at once.  Integrands
+symmetric in (x1, x2) bit for bit (psi^2 and the energy terms) are
+sampled on the node pairs i <= j only (`quad_pairs`), which sums the same
+exact terms as the full grid.  The pair kernel is not such an integrand:
+its gamma powers come from BLAS matrix products, so it stays on the full
+grid.  The sums are kept here rather than shared, which keeps the oracle
+independent of the layers it checks.
 """
 
 from __future__ import annotations
@@ -96,6 +102,12 @@ class QuadratureRule:
     def weights_2d(self) -> np.ndarray:
         return np.outer(self.weights, self.weights)
 
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """x_i, x_j and W_i W_j over the node pairs i <= j, the diagonal first."""
+        i, j = _pair_indices(self.count)
+        return self.nodes[i], self.nodes[j], self.weights[i] * self.weights[j]
+
 
 @lru_cache(maxsize=16)
 def _hermgauss(count: int):
@@ -103,6 +115,16 @@ def _hermgauss(count: int):
     t.setflags(write=False)
     w.setflags(write=False)
     return t, w
+
+
+@lru_cache(maxsize=16)
+def _pair_indices(count: int):
+    diagonal = np.arange(count)
+    i, j = np.triu_indices(count, 1)
+    i, j = np.concatenate([diagonal, i]), np.concatenate([diagonal, j])
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
 
 
 def gauss_hermite_rule(count: int = 96, scale: float = 1.0) -> QuadratureRule:
@@ -138,6 +160,25 @@ _FSUM_CHUNK = 4096
 _FSUM_STEP = 8192
 #: While the absolute values sum below this, no partial of math.fsum overflows.
 _FSUM_SAFE_MASS = 2.0 ** 1022
+#: Fewer rows go to math.fsum one by one, which is faster there at 96 terms a row.
+_FSUM_ROWS = 12
+
+
+def _certified(level0, level1, slack):
+    """hi = level0 + level1 rounded, and whether hi is the correctly rounded sum.
+
+    With the true sum within `slack` of level0 + level1 = hi + lo (TwoSum,
+    exact), the sum rounds to hi when lo + slack is below half the gap up
+    to the next double and slack - lo below half the gap down to the one
+    before.  An exact zero is never certified: its sign is math.fsum's to
+    choose.  Scalars or arrays.
+    """
+    hi = level0 + level1
+    b = hi - level0
+    lo = (level0 - (hi - b)) + (level1 - b)
+    up = np.nextafter(hi, math.inf) - hi
+    down = hi - np.nextafter(hi, -math.inf)
+    return hi, (2.0 * (slack + lo) < up) & (2.0 * (slack - lo) < down) & (hi != 0.0)
 
 
 def _fsum(values: np.ndarray) -> float:
@@ -147,12 +188,11 @@ def _fsum(values: np.ndarray) -> float:
     2**(m - 53) sigma0, q0 = (x + sigma0) - sigma0, r = x - q0 and q1 =
     (r + sigma1) - sigma1 are exact, and each level's float sum is exact in
     any order (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1), 2008).  The
-    two sums make one Python int, within n 2**-53 sigma1 of the true sum; when
-    both ends of that interval round to the same non-zero float by int true
-    division, that float is the sum.  Arrays shorter than one chunk,
-    non-finite values, sums that could overflow or need sigma0 = 2**1024, an
-    exact zero (whose sign is math.fsum's to choose) and sums too near a
-    rounding boundary go to math.fsum.
+    two level sums are within n 2**-53 sigma1 of the true sum, and
+    `_certified` settles its rounding from them.  Arrays shorter than one
+    chunk, non-finite values, sums that could overflow or need sigma0 =
+    2**1024, an exact zero and sums too near a rounding boundary go to
+    math.fsum.
     """
     x = np.asarray(values, dtype=float).ravel()
     n = x.size
@@ -174,27 +214,63 @@ def _fsum(values: np.ndarray) -> float:
         q += sigma1
         q -= sigma1
         level1 += q.sum()
-    total = sum((a << 1074) // b for a, b in map(float.as_integer_ratio, (level0, level1)))
-    # 2**-53 sigma1 in units of 2**-1074; below one unit every remainder is 0
-    shift = e + 2 * m - 106 + 1074
-    slack = n << shift if shift >= 0 else 0
-    low, high = ((total + d) / (1 << 1074) for d in (-slack, slack))
-    return low if low == high and low else math.fsum(x.tolist())
+    hi, ok = _certified(level0, level1, math.ldexp(n, e + 2 * m - 106))
+    return float(hi) if ok else math.fsum(x.tolist())
+
+
+def _fsum_rows(x: np.ndarray) -> np.ndarray:
+    """`_fsum` of every row of a 2-D array at once, each row on its own sigma0.
+
+    Rows the certificate does not settle, non-finite ones and those that
+    could overflow among them, go to math.fsum one by one, as do all rows
+    of an array with fewer than `_FSUM_ROWS`.
+    """
+    if len(x) < _FSUM_ROWS:
+        return np.array([math.fsum(row) for row in x.tolist()])
+    n = x.shape[1]
+    m = (n + 1).bit_length()
+    with np.errstate(invalid="ignore", over="ignore"):
+        top = np.maximum(x.max(axis=1), -x.min(axis=1))
+        e = np.frexp(top)[1]
+        safe = (top * n < _FSUM_SAFE_MASS) & (e + m < 1024)
+        e[~safe] = 0
+        sigma0 = np.ldexp(1.0, e + m)[:, None]
+        sigma1 = np.ldexp(1.0, e + 2 * m - 53)[:, None]
+        q = x + sigma0
+        q -= sigma0
+        level0 = q.sum(axis=1)
+        np.subtract(x, q, out=q)
+        q += sigma1
+        q -= sigma1
+        sums, ok = _certified(level0, q.sum(axis=1), np.ldexp(float(n), e + 2 * m - 106))
+    for i in np.flatnonzero(~(ok & safe)):
+        sums[i] = math.fsum(x[i].tolist())
+    return sums
 
 
 def quad_1d(rule: QuadratureRule, values: np.ndarray):
-    """Exact sums of W_i f(x_i) over the last axis: a float for one row, else an array.
-
-    Rows have at most 370 terms, where math.fsum is faster than `_fsum`'s extraction.
-    """
+    """Exact sums of W_i f(x_i) over the last axis: a float for one row, else an array."""
     terms = rule.weights * values
-    sums = [math.fsum(row) for row in terms.reshape(-1, rule.count).tolist()]
-    return sums[0] if terms.ndim == 1 else np.reshape(sums, terms.shape[:-1])
+    sums = _fsum_rows(terms.reshape(-1, rule.count))
+    return float(sums[0]) if terms.ndim == 1 else sums.reshape(terms.shape[:-1])
 
 
 def quad_2d(rule: QuadratureRule, values: np.ndarray) -> float:
     """Exact tensor-product integral for f sampled on nodes x nodes."""
     return _fsum(rule.weights_2d * values)
+
+
+def quad_pairs(rule: QuadratureRule, values: np.ndarray) -> float:
+    """`quad_2d` of a symmetric f sampled on `rule.pairs`, from half the terms.
+
+    When f(x_i, x_j) == f(x_j, x_i) bit for bit, the full grid holds each
+    diagonal term once and each other term twice.  Doubling a rounded term
+    is exact, so the exact terms, and the one rounding of their sum, are
+    quad_2d's.
+    """
+    terms = rule.pairs[2] * values
+    terms[rule.count:] *= 2.0
+    return _fsum(terms)
 
 
 def _check_oracle_window(params: ModelParams):
@@ -280,15 +356,16 @@ def hamiltonian_expectation_numeric(
     diff_w = 0.5 * (f.omega1 - f.omega2)
 
     def breakdown(grid: QuadratureRule) -> EnergyBreakdown:
-        x1 = grid.nodes[:, None]
-        x2 = grid.nodes[None, :]
+        x1, x2, _ = grid.pairs
         psi2 = wavefunction(params, x1, x2) ** 2
         g1 = -sum_w * x1 - diff_w * x2
         g2 = -sum_w * x2 - diff_w * x1
         kin = -0.5 * (g1 ** 2 + g2 ** 2 - 2.0 * sum_w) * psi2
         ext = 0.5 * params.omega0 ** 2 * (x1 ** 2 + x2 ** 2) * psi2
         return EnergyBreakdown.from_terms(
-            quad_2d(grid, kin), quad_2d(grid, ext), _interaction_on_grid(params, grid, psi2)
+            quad_pairs(grid, kin),
+            quad_pairs(grid, ext),
+            quad_pairs(grid, psi2 * _pair_potential(params, x1, x2)),
         )
 
     base = breakdown(rule)
@@ -332,10 +409,12 @@ def _kernel_on_grid(
     return 2.0 * np.outer(n1, n1) - gq * gr
 
 
+def _pair_potential(params: ModelParams, x1, x2):
+    return -0.5 * params.coupling * params.omega0 ** 2 * (x1 - x2) ** 2
+
+
 def _interaction_on_grid(params: ModelParams, rule: QuadratureRule, kern: np.ndarray) -> float:
-    x1 = rule.nodes[:, None]
-    x2 = rule.nodes[None, :]
-    return quad_2d(rule, kern * (-0.5 * params.coupling * params.omega0 ** 2 * (x1 - x2) ** 2))
+    return quad_2d(rule, kern * _pair_potential(params, rule.nodes[:, None], rule.nodes[None, :]))
 
 
 def kernel_interaction_numeric(
@@ -475,11 +554,10 @@ def run_verification(
         psi_rule = gauss_hermite_rule(96, 0.5 * (f.omega1 + f.omega2))
         dens_rule = gauss_hermite_rule(96, f.omega_s)
 
-        x1 = psi_rule.nodes[:, None]
-        x2 = psi_rule.nodes[None, :]
+        x1, x2, _ = psi_rule.pairs
         checks.append(_entry(
             f"psi_norm[{tag}]",
-            quad_2d(psi_rule, wavefunction(params, x1, x2) ** 2),
+            quad_pairs(psi_rule, wavefunction(params, x1, x2) ** 2),
             1.0, 1e-9, relative=False,
         ))
         checks.append(_entry(

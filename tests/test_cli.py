@@ -572,6 +572,20 @@ class TestOutput:
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".harmonium-")]
         assert leftovers == []
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_out_takes_the_mode_of_a_new_file(self, capsys, tmp_path, umask, mode):
+        # the umask alone decides, as for a file the shell would create
+        target = tmp_path / "result.csv"
+        old = os.umask(umask)
+        try:
+            code, _, _ = run_cli(capsys, "solve", "--lambda", "0.3", "--out", str(target))
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert target.stat().st_mode & 0o777 == mode
+        assert os.listdir(tmp_path) == ["result.csv"]
+
     @pytest.mark.parametrize("target, reason", [
         ("missing/x.csv", "No such file or directory"),
         ("existing", "Is a directory"),

@@ -31,19 +31,24 @@ from harmonium import (
     run_verification,
     solve_xi_p,
     spectral_kinetic_sum,
+    wavefunction,
 )
 from harmonium import oracle as orc
 from harmonium.mueller import energy_parametric
 from harmonium.oracle import (
     _FSUM_CHUNK,
+    _FSUM_ROWS,
     _FSUM_SAFE_MASS,
     _SCAN_POINTS,
     _SCAN_RESCORE,
     _fsum,
+    _fsum_rows,
     _golden_section,
     _kernel_on_grid,
+    _pair_potential,
     quad_1d,
     quad_2d,
+    quad_pairs,
     reference_basis,
 )
 from harmonium.spectral import hermite_basis
@@ -419,23 +424,143 @@ class TestFsum:
         assert calls == [_FSUM_CHUNK]
 
     def test_verification_sums_stay_in_numpy(self, monkeypatch):
-        # every long sum of a default run is certified by the extraction alone
-        fsum, extract = math.fsum, orc._fsum
-        long_sums = []
+        self._sums_stay_in_numpy(monkeypatch, (0.1, 0.3), (0.5, 0.4), rows=216)
+
+    def test_grid_sums_stay_in_numpy(self, monkeypatch):
+        self._sums_stay_in_numpy(monkeypatch, GRID_LAMBDAS, GRID_QS, rows=540)
+
+    @staticmethod
+    def _sums_stay_in_numpy(monkeypatch, lambdas, qs, rows):
+        # every long sum and every row of an array of rows is certified by the
+        # extraction alone; only arrays of fewer rows still reach math.fsum
+        fsum, extract, extract_rows = math.fsum, orc._fsum, orc._fsum_rows
+        long_sums, calls, certified_rows = [], [], []
 
         def short_only(values):
             assert len(values) < _FSUM_CHUNK, "a long sum fell back to math.fsum"
+            calls.append(len(values))
             return fsum(values)
 
         def counted(values):
             long_sums.append(np.size(values) >= _FSUM_CHUNK)
             return extract(values)
 
+        def counted_rows(x):
+            before = len(calls)
+            sums = extract_rows(x)
+            if len(x) >= _FSUM_ROWS:
+                assert len(calls) == before, "a row of a multi-row sum fell back to math.fsum"
+                certified_rows.append(len(x))
+            return sums
+
         monkeypatch.setattr(math, "fsum", short_only)
         monkeypatch.setattr(orc, "_fsum", counted)
-        run_verification()
-        # 13 tensor-product sums per coupling, of 96**2 or 192**2 terms
-        assert sum(long_sums) == 26
+        monkeypatch.setattr(orc, "_fsum_rows", counted_rows)
+        run_verification(lambdas=lambdas, qs=qs)
+        # 7 tensor-product sums per coupling and 3 per (coupling, q), of at
+        # least 96 * 97 / 2 terms; the 7 x 7 lattice and the orbital rows of
+        # the two spectral_kinetic_sum calls with more than one orbital
+        assert sum(long_sums) == len(lambdas) * (7 + 3 * len(qs))
+        assert sum(certified_rows) == rows
+
+
+@st.composite
+def _planted_row(draw, length):
+    """A row of `length` terms built to stress one branch of the row kernel."""
+    kind = draw(st.sampled_from(["tiled", "cancel", "midpoint", "near_gate"]))
+    if kind == "tiled":
+        return np.resize(draw(st.lists(_PIECES, min_size=1, max_size=8)), length)
+    if kind == "cancel":
+        # the exact sum is zero (or NaN), whose sign math.fsum decides
+        half = np.resize(draw(st.lists(_PIECES, min_size=1, max_size=8)), length // 2)
+        return np.concatenate([half, -half, np.zeros(length % 2)])
+    row = np.zeros(length)
+    if kind == "midpoint":
+        # base + 2**-53 is halfway between two doubles; the planted terms, at or
+        # below the extraction's resolution, decide the rounding
+        planted = draw(st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.integers(60, 200)),
+                                min_size=1, max_size=6))
+        terms = [1.0 + draw(st.booleans()) * 2.0 ** -52, 2.0 ** -53]
+        terms = (terms + [s * 2.0 ** -k for s, k in planted])[:length]
+        scale, sign = draw(st.integers(-1070, 970)), draw(st.sampled_from([-1.0, 1.0]))
+        row[:len(terms)] = np.ldexp(sign * np.array(terms), scale)
+        return row
+    # the absolute values sum to just below or at 2**1022, the overflow gate
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=1, max_size=4))
+    return np.resize(signs, length) * (_FSUM_SAFE_MASS / length) * draw(st.floats(0.5, 1.0))
+
+
+class TestFsumRows:
+    """`_fsum_rows` is math.fsum on each row, bit for bit, and `quad_pairs` is `quad_2d`."""
+
+    @settings(max_examples=75, deadline=None)
+    @given(data=st.data(), length=st.integers(2, 370), count=st.integers(_FSUM_ROWS, 60),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_math_fsum_per_row(self, data, length, count, seed):
+        rng = np.random.default_rng(seed)
+        x = np.array([rng.permutation(data.draw(_planted_row(length))) for _ in range(count)])
+        expected = [_outcome(math.fsum, row) for row in x]
+        sums = [isinstance(e, bytes) for e in expected]
+        # the first row that raises in math.fsum raises here too
+        if not all(sums):
+            first = expected[sums.index(False)]
+            with pytest.raises(first[0]) as exc:
+                _fsum_rows(x)
+            assert str(exc.value) == first[1]
+        assert [struct.pack("<d", v) for v in _fsum_rows(x[sums])] == [
+            e for e, ok in zip(expected, sums) if ok]
+
+    def test_uncertified_rows_alone_go_to_math_fsum(self, monkeypatch):
+        x = np.random.default_rng(7).standard_normal((_FSUM_ROWS, 96))
+        x[2, :3] = 1.0, 2.0 ** -53, 2.0 ** -200
+        x[2, 3:] = 0.0
+        fsum, calls = math.fsum, []
+
+        def spy(values):
+            calls.append(values)
+            return fsum(values)
+
+        monkeypatch.setattr(math, "fsum", spy)
+        sums = _fsum_rows(x)
+        assert calls == [x[2].tolist()]
+        assert sums.tolist() == [fsum(row) for row in x.tolist()]
+
+    @settings(max_examples=60, deadline=None)
+    @given(count=st.integers(2, 370), scale=st.floats(0.05, 20.0),
+           lam=st.floats(0.0, 0.45), omega0=st.floats(0.1, 10.0))
+    def test_pairs_match_the_full_grid(self, count, scale, lam, omega0):
+        # the hamiltonian's integrands and psi^2 on the i <= j pairs, against
+        # the same formulas broadcast over the full tensor grid
+        params = ModelParams(omega0=omega0, coupling=lam)
+        f = derive_frequencies(params)
+        sum_w, diff_w = 0.5 * (f.omega1 + f.omega2), 0.5 * (f.omega1 - f.omega2)
+        rule = gauss_hermite_rule(count, scale)
+
+        def integrands(x1, x2):
+            psi2 = wavefunction(params, x1, x2) ** 2
+            g1 = -sum_w * x1 - diff_w * x2
+            g2 = -sum_w * x2 - diff_w * x1
+            return (psi2,
+                    -0.5 * (g1 ** 2 + g2 ** 2 - 2.0 * sum_w) * psi2,
+                    0.5 * params.omega0 ** 2 * (x1 ** 2 + x2 ** 2) * psi2,
+                    psi2 * _pair_potential(params, x1, x2))
+
+        full = [quad_2d(rule, v) for v in integrands(rule.nodes[:, None], rule.nodes[None, :])]
+        half = [quad_pairs(rule, v) for v in integrands(*rule.pairs[:2])]
+        assert [v.hex() for v in half] == [v.hex() for v in full]
+        terms = hamiltonian_expectation_numeric(params, rule, check=False)
+        assert [terms.kinetic, terms.external, terms.interaction] == full[1:]
+
+    @pytest.mark.parametrize("count", [2, 3, 96, 192, 370])
+    def test_pairs_of_any_symmetric_matrix(self, count):
+        rng = np.random.default_rng(count)
+        a = rng.standard_normal((count, count)) * 10.0 ** rng.integers(-300, 300, (count, count))
+        values = a + a.T
+        rule = gauss_hermite_rule(count, 1.7)
+        i, j = orc._pair_indices(count)
+        assert quad_pairs(rule, values[i, j]) == quad_2d(rule, values)
+        assert sorted(zip(i.tolist(), j.tolist())) == [
+            (a, b) for a in range(count) for b in range(a, count)]
 
 
 def _scalar_scan(params, spec):
