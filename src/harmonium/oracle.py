@@ -265,8 +265,8 @@ def quad_pairs(rule: QuadratureRule, values: np.ndarray) -> float:
 
     When f(x_i, x_j) == f(x_j, x_i) bit for bit, the full grid holds each
     diagonal term once and each other term twice.  Doubling a rounded term
-    is exact, so the exact terms, and the one rounding of their sum, are
-    quad_2d's.
+    is exact short of overflow, so the exact terms, and the one rounding of
+    their sum, are quad_2d's.
     """
     terms = rule.pairs[2] * values
     terms[rule.count:] *= 2.0

@@ -55,8 +55,9 @@ from harmonium.spectral import hermite_basis
 
 P03 = ModelParams(coupling=0.3)
 
-#: The scoreboard grid of `tests/fixtures/verify_grid.json`; 0.1431818181818182
-#: is a coupling at which a pair-array cache keyed on id(rule) once moved bits.
+#: The scoreboard grid of `tests/fixtures/verify_grid.json`.  At 0.1431818181818182
+#: a cache of pair arrays keyed on id(rule), which a recycled id can hand
+#: another rule's arrays, was seen to change bits; they are cached per rule object.
 GRID_LAMBDAS = (1e-9, 1e-6, 0.05, 0.1431818181818182, 0.4499)
 GRID_QS = (0.3, 0.3512, 0.5, 0.6123, 0.7)
 GRID_OMEGA0S = (1.0, 2.5)
