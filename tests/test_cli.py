@@ -428,6 +428,16 @@ class TestVerify:
         }
         assert outs["1"] == outs["2"] == (FIXTURES / fixture).read_bytes()
 
+    @pytest.mark.parametrize("qs, error", [
+        (("0.2", "1.5"), "exponent q must lie in [0.3, 0.7], got 0.2"),
+        (("1.5", "0.2"), "kernel powers must lie in (0, 1), got q=1.5, r=-0.5"),
+        (("0.4", "0.25", "0"), "exponent q must lie in [0.3, 0.7], got 0.25"),
+    ])
+    def test_first_bad_exponent_names_the_error(self, capsys, qs, error):
+        # each exponent's kernel, then its window, in the user's order
+        argv = ["verify", "--lambda", "0.2"] + [arg for q in qs for arg in ("--q", q)]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {error}\n")
+
     def test_tamper_flips_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--lambda", "0.3", "--q", "0.5",
                                "--tamper")
@@ -492,6 +502,14 @@ class TestReport:
         code, out, _ = run_cli(capsys, "report", "--omega0", "3", "--q", "0.45")
         assert code == 0
         assert out == (FIXTURES / "report_omega3_q045.json").read_bytes().decode("utf-8")
+
+    @pytest.mark.parametrize("case", json.loads((FIXTURES / "report_cases.json").read_text()),
+                             ids=lambda case: " ".join(case["argv"][1:]))
+    def test_cases_match_frozen_bytes(self, capsys, case):
+        # frozen while report still made one solve per exponent and one for the recovery:
+        # six exponents, a repeated one, q = 1/2 among others, and exponents outside the
+        # window, of which the first in the user's order names the error
+        assert run_cli(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
 
     def test_repeated_q_is_reported_once(self, capsys):
         once = run_cli(capsys, "report", "--q", "0.4")
