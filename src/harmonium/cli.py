@@ -7,8 +7,8 @@ summary).  Each takes only the flags its cmd_* reads (`_SUBCOMMANDS`), and
 argparse holds their types and defaults.  Outputs are CSV (comma separated,
 header row, LF, UTF-8, 17 significant digits) or JSON, written atomically
 when --out is given; an --out that cannot be written is a domain error.
-sweep, figure1 and report solve one batch of couplings per exponent, and
-tables stay columns up to the writer, which formats a repeated number once.
+One solver batch takes all of a command's exponents (verify: per coupling),
+and tables stay columns up to the writer, which formats a repeated number once.
 The parser is built once per process; `main` dispatches to the module's
 `cmd_<subcommand>` function by name at call time.
 
@@ -202,13 +202,12 @@ def cmd_figure1(args) -> int:
     # NaN where ModelParams refuses lam; decided first, as log1p(-1.0) raises at lam = 0.5
     xi = np.array([_xi(lam) if lam < LAMBDA_STABILITY else math.nan for lam in grid])
     columns = {"lambda": np.array(grid), "xi": xi}
-    failed = np.zeros(len(grid), bool)
-    for q, tag in ((0.4, "q04"), (0.3, "q03")):
+    batch = slv.solve_batch(np.array([[0.4], [0.3]]), grid)
+    for xi_p, tag in zip(batch.xi_p, ("q04", "q03")):
         # a failed batch row holds NaN in xi_p and blanks only its own q's columns
-        batch = slv.solve_batch(q, grid)
-        columns[f"xi_p_{tag}"] = batch.xi_p
-        columns[f"R_{tag}"] = batch.xi_p / np.where(xi > 0.0, xi, math.nan)
-        failed |= [error is not None for error in batch.errors]
+        columns[f"xi_p_{tag}"] = xi_p
+        columns[f"R_{tag}"] = xi_p / np.where(xi > 0.0, xi, math.nan)
+    failed = np.reshape([error is not None for error in batch.errors], batch.xi_p.shape).any(axis=0)
     # xi is NaN only where ModelParams refused lam, and then both batch rows failed too
     return _emit_table(args, columns, failed)
 
@@ -224,17 +223,21 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     qs = list(dict.fromkeys(args.q or [0.4, 0.3]))
     params = ModelParams(omega0=args.omega0)
+    # one solve: each q's fit couplings, in the user's order, then the q = 1/2 recovery grid
+    fit, lam_grid = slv._SCALING_COUPLINGS, [float(v) for v in np.linspace(0.02, 0.44, 22)]
+    batch = slv.solve_batch(np.repeat([*qs, 0.5], [len(fit)] * len(qs) + [len(lam_grid)]),
+                            [*fit * len(qs), *lam_grid])
+    roots = batch.xi_p[:-len(lam_grid)].reshape(len(qs), len(fit))  # none lies near 1e-290
     curves = []
-    for q in qs:
-        entry = {"q": q, "scaling_exponent": slv.scaling_exponent(params, q)}
-        delta = abs(q - 0.5)
-        entry["scaling_exponent_expected"] = 2.0 / (1.0 + 2.0 * delta)
+    for i, q in enumerate(qs):
+        entry = {"q": q, "scaling_exponent": slv._fit_slope(roots[i]),
+                 "scaling_exponent_expected": 2.0 / (1.0 + 2.0 * abs(q - 0.5))}
         if q != 0.5:
             entry["crossing_lambda"] = slv.find_crossing(params, q)
         curves.append(entry)
 
-    lam_grid = [float(v) for v in np.linspace(0.02, 0.44, 22)]
-    r = slv.sweep(params, [0.5], lam_grid)[0]
+    r = slv._columns(params, np.array([[0.5]]), lam_grid, batch.xi_p[None, -len(lam_grid):],
+                     batch.errors[-len(lam_grid):])[0]
     max_xi_gap, max_energy_gap, max_duality_gap = (max([0.0, *np.abs(gap).tolist()]) for gap in (
         r["xi_p"][0] - r["xi"], (r["e_p_total"][0] - r["e_ex_total"]) / r["e_ex_total"],
         r["linear_entropy_exact"] - r["dual_linear_entropy"]))

@@ -20,15 +20,16 @@ reference basis once for both powers gamma^q and gamma^(1-q).
 
 Every quadrature sum is exact before its one rounding, bit for bit
 math.fsum's, so results are deterministic and independent of evaluation
-order: two levels of error-free extraction in numpy, certified by one
-shared step (`_certified`) or else handed to math.fsum.  `_fsum` takes a
-long array, `_fsum_rows` every row of a 2-D array at once.  Integrands
-symmetric in (x1, x2) bit for bit (psi^2 and the energy terms) are
-sampled on the node pairs i <= j only (`quad_pairs`), which sums the same
-exact terms as the full grid.  The pair kernel is not such an integrand:
-its gamma powers come from BLAS matrix products, so it stays on the full
-grid.  The sums are kept here rather than shared, which keeps the oracle
-independent of the layers it checks.
+order: one level of error-free extraction in numpy and a float sum of
+its exact residuals, certified by one shared step (`_certified`) or else
+handed to math.fsum.  `_fsum` takes a long array, `_fsum_rows` every row
+of a 2-D array at once.  Integrands symmetric in (x1, x2) bit for bit
+(psi^2 and the energy terms) are sampled on the node pairs i <= j only
+(`quad_pairs`), which sums the same exact terms as the full grid.  The
+pair kernel is not such an integrand: its gamma powers come from BLAS
+matrix products, so it stays on the full grid.  The sums are kept here
+rather than shared, which keeps the oracle independent of the layers it
+checks.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .model import (
     wavefunction,
 )
 from .mueller import KernelSpec, energy_parametric, kinetic_parametric
-from .solver import solve_xi_p
+from .solver import _check_q, solve_batch
 from .spectral import (
     ParametricState,
     occupation_spectrum,
@@ -184,15 +185,15 @@ def _certified(level0, level1, slack):
 def _fsum(values: np.ndarray) -> float:
     """Correctly rounded sum, bit for bit math.fsum's, by error-free extraction in numpy.
 
-    With 2**e > max|x|, 2**m >= n + 2, sigma0 = 2**(e + m) and sigma1 =
-    2**(m - 53) sigma0, q0 = (x + sigma0) - sigma0, r = x - q0 and q1 =
-    (r + sigma1) - sigma1 are exact, and each level's float sum is exact in
-    any order (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1), 2008).  The
-    two level sums are within n 2**-53 sigma1 of the true sum, and
-    `_certified` settles its rounding from them.  Arrays shorter than one
-    chunk, non-finite values, sums that could overflow or need sigma0 =
-    2**1024, an exact zero and sums too near a rounding boundary go to
-    math.fsum.
+    With 2**e > max|x|, 2**m >= n + 2 and sigma0 = 2**(e + m), q0 = (x +
+    sigma0) - sigma0 and r = x - q0 are exact, the q0 sum exactly in any
+    order, and |r| <= 2**(e + m - 53) (Rump, Ogita and Oishi, SIAM J. Sci.
+    Comput. 31(1), 2008).  The float sum of the r is then off by at most
+    gamma_(n-1) n 2**(e + m - 53) < n 2**(e + 2m - 106) in any order, and
+    `_certified` settles the rounding from the two level sums with that
+    slack.  Arrays shorter than one chunk, non-finite values, sums that
+    could overflow or need sigma0 = 2**1024, an exact zero and sums too
+    near a rounding boundary go to math.fsum.
     """
     x = np.asarray(values, dtype=float).ravel()
     n = x.size
@@ -201,7 +202,6 @@ def _fsum(values: np.ndarray) -> float:
     if not (top * n < _FSUM_SAFE_MASS and e + m < 1024):
         return math.fsum(x.tolist())
     sigma0 = math.ldexp(1.0, e + m)
-    sigma1 = math.ldexp(sigma0, m - 53)
     level0 = level1 = 0.0
     buf = np.empty(min(n, _FSUM_STEP))
     for start in range(0, n, _FSUM_STEP):
@@ -211,8 +211,6 @@ def _fsum(values: np.ndarray) -> float:
         q -= sigma0
         level0 += q.sum()
         np.subtract(chunk, q, out=q)
-        q += sigma1
-        q -= sigma1
         level1 += q.sum()
     hi, ok = _certified(level0, level1, math.ldexp(n, e + 2 * m - 106))
     return float(hi) if ok else math.fsum(x.tolist())
@@ -235,13 +233,10 @@ def _fsum_rows(x: np.ndarray) -> np.ndarray:
         safe = (top * n < _FSUM_SAFE_MASS) & (e + m < 1024)
         e[~safe] = 0
         sigma0 = np.ldexp(1.0, e + m)[:, None]
-        sigma1 = np.ldexp(1.0, e + 2 * m - 53)[:, None]
         q = x + sigma0
         q -= sigma0
         level0 = q.sum(axis=1)
         np.subtract(x, q, out=q)
-        q += sigma1
-        q -= sigma1
         sums, ok = _certified(level0, q.sum(axis=1), np.ldexp(float(n), e + 2 * m - 106))
     for i in np.flatnonzero(~(ok & safe)):
         sums[i] = math.fsum(x[i].tolist())
@@ -352,27 +347,30 @@ def hamiltonian_expectation_numeric(
     f = derive_frequencies(params)
     if rule is None:
         rule = gauss_hermite_rule(96, 0.5 * (f.omega1 + f.omega2))
-    sum_w = 0.5 * (f.omega1 + f.omega2)
-    diff_w = 0.5 * (f.omega1 - f.omega2)
 
-    def breakdown(grid: QuadratureRule) -> EnergyBreakdown:
-        x1, x2, _ = grid.pairs
-        psi2 = wavefunction(params, x1, x2) ** 2
-        g1 = -sum_w * x1 - diff_w * x2
-        g2 = -sum_w * x2 - diff_w * x1
-        kin = -0.5 * (g1 ** 2 + g2 ** 2 - 2.0 * sum_w) * psi2
-        ext = 0.5 * params.omega0 ** 2 * (x1 ** 2 + x2 ** 2) * psi2
-        return EnergyBreakdown.from_terms(
-            quad_pairs(grid, kin),
-            quad_pairs(grid, ext),
-            quad_pairs(grid, psi2 * _pair_potential(params, x1, x2)),
-        )
-
-    base = breakdown(rule)
+    base = _energy_on_pairs(params, rule)
     if check:
         _warn_if_shifted("hamiltonian_expectation_numeric", base.total,
-                         breakdown(_doubled(rule)).total, params.omega0)
+                         _energy_on_pairs(params, _doubled(rule)).total, params.omega0)
     return base
+
+
+def _energy_on_pairs(params: ModelParams, rule: QuadratureRule, psi2=None) -> EnergyBreakdown:
+    """`hamiltonian_expectation_numeric` on `rule`, from psi^2 on its pairs if given."""
+    f = derive_frequencies(params)
+    sum_w = 0.5 * (f.omega1 + f.omega2)
+    diff_w = 0.5 * (f.omega1 - f.omega2)
+    x1, x2, _ = rule.pairs
+    psi2 = wavefunction(params, x1, x2) ** 2 if psi2 is None else psi2
+    g1 = -sum_w * x1 - diff_w * x2
+    g2 = -sum_w * x2 - diff_w * x1
+    kin = -0.5 * (g1 ** 2 + g2 ** 2 - 2.0 * sum_w) * psi2
+    ext = 0.5 * params.omega0 ** 2 * (x1 ** 2 + x2 ** 2) * psi2
+    return EnergyBreakdown.from_terms(
+        quad_pairs(rule, kin),
+        quad_pairs(rule, ext),
+        quad_pairs(rule, psi2 * _pair_potential(params, x1, x2)),
+    )
 
 
 def spectral_kinetic_sum(xi_p: float, omega_p: float) -> float:
@@ -554,11 +552,9 @@ def run_verification(
         psi_rule = gauss_hermite_rule(96, 0.5 * (f.omega1 + f.omega2))
         dens_rule = gauss_hermite_rule(96, f.omega_s)
 
-        x1, x2, _ = psi_rule.pairs
+        psi2 = wavefunction(params, *psi_rule.pairs[:2]) ** 2
         checks.append(_entry(
-            f"psi_norm[{tag}]",
-            quad_pairs(psi_rule, wavefunction(params, x1, x2) ** 2),
-            1.0, 1e-9, relative=False,
+            f"psi_norm[{tag}]", quad_pairs(psi_rule, psi2), 1.0, 1e-9, relative=False,
         ))
         checks.append(_entry(
             f"density_norm[{tag}]",
@@ -581,7 +577,7 @@ def run_verification(
             1e-8 * root_omega0, relative=False,
         ))
 
-        numeric = hamiltonian_expectation_numeric(params, rule=psi_rule, check=False)
+        numeric = _energy_on_pairs(params, psi_rule, psi2)
         closed = exact_energy(params)
         checks.append(_entry(
             f"hamiltonian_total[{tag}]", numeric.total, closed.total * skew, 1e-8, relative=True,
@@ -607,9 +603,13 @@ def run_verification(
             ))
 
         fine_dens_rule = _doubled(dens_rule)
-        for q in qs:
-            spec = KernelSpec.sum_one(float(q))
-            sol = solve_xi_p(params, float(q))
+        specs = []
+        for q in qs:  # each q's kernel, then its window: the first bad q names its error
+            specs.append(KernelSpec.sum_one(float(q)))
+            _check_q(float(q))
+        roots = solve_batch([spec.q for spec in specs], (params.coupling,))
+        for i, (q, spec) in enumerate(zip(qs, specs)):
+            sol = roots.solution(i)
             state = parametric_state(f.omega_s, float(q), sol.xi_p)
             qtag = f"{tag},q={q:g}"
             closed_inter = energy_parametric(params, spec, sol.xi_p).interaction * skew

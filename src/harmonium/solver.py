@@ -20,21 +20,17 @@ bit for bit; only the energies that `sweep` reports scale with omega0.
 The solver works in log space, because for small coupling the root scales
 like a power of the coupling (xi_p ~ coupling^(1/max(q, 1-q)) for q != 1/2,
 ~ coupling^2/16 at q = 1/2) and absolute-width steps would lose all
-relative accuracy.  `solve_batch` takes one q and a batch of couplings: lhs
-is evaluated once on one logarithmic grid, from 1 - 1e-9 down to 1e-12 and
-by decades below it to 1e-290, and each row is bracketed by one binary
-search in it.  All rows then advance together by Newton steps on log xi_p,
-falling back to the geometric midpoint whenever a step would leave the
-bracket, until each sign-change bracket is narrower than 1e-15 relative, a
-fixed tolerance that keeps every root residual at or below
-1e-13 * max(1, rhs).  Each step forms lhs and the analytic
-d log lhs / d log xi_p from one set of powers xi^q, xi^(2q-1) and xi^(2q),
-without a domain check, as the brackets keep every iterate inside (0, 1);
-`stationarity_lhs` runs twice per batch, on the grid and for the residuals.
-`solve_xi_p` is a batch of one on the same path, and `sweep`,
-`scaling_exponent` and the CLI make one `solve_batch` call per q.  `sweep`
-returns its table as columns, each one array, the q-independent ones once
-per grid and the others once per batch, which the CLI formats column-wise.
+relative accuracy.  `solve_batch` takes (q, coupling) rows: lhs is evaluated
+once per distinct q, with its q-free factor ((1+xi)/(1-xi))^3 frozen, on one
+logarithmic grid, from 1 - 1e-9 down to 1e-12 and by decades below it to
+1e-290, and each row is bracketed by one binary search in it.  All rows then
+advance together by Newton steps on log xi_p, falling back to the geometric
+midpoint whenever a step would leave the bracket, until each sign-change
+bracket is narrower than 1e-15 relative, which keeps every root residual at
+or below 1e-13 * max(1, rhs).  Each step forms lhs and d log lhs / d log xi_p
+from one set of powers, without a domain check, as the brackets keep every
+iterate inside (0, 1).  `solve_xi_p` is a batch of one on the same path, and
+each command makes one `solve_batch` call for all its exponents.
 
 Why one search in the grid brackets every root.  With t = -ln xi,
 
@@ -91,12 +87,16 @@ _GRID = [1e-12]
 while _GRID[-1] > _WALK_FLOOR:
     _GRID.append(_GRID[-1] / 10.0)
 _GRID = np.concatenate((_GRID[:0:-1], np.geomspace(1e-12, XI_P_MAX, 2048)))
-_GRID.flags.writeable = False
+assert ((0.0 < _GRID) & (_GRID < 1.0)).all()  # inside lhs's domain, checked once
+_GRID_POLE = ((1.0 + _GRID) / (1.0 - _GRID)) ** 3  # lhs's q-free factor, as `_lhs` forms it
+_HALF_SCAN = np.sqrt(_GRID) / (1.0 - _GRID) * _GRID_POLE  # lhs at q = 1/2, the commands' usual q
+_GRID.flags.writeable = _GRID_POLE.flags.writeable = _HALF_SCAN.flags.writeable = False
 _MAX_STEPS = 200
 #: Relative width of the sign-change bracket at which a root or crossing stops.
 _TOL = 1e-15
 #: Couplings whose exact xi bracket the ratio crossing.
 _CROSSING_COUPLINGS = (1e-3, LAMBDA_MAX)
+_SCALING_COUPLINGS = tuple(np.geomspace(1e-4, 1e-3, 8).tolist())  # `scaling_exponent` fits these
 
 
 #: The columns of a sweep row, in table order.
@@ -136,13 +136,14 @@ def stationarity_lhs(q: float, xi_p):
     return float(out) if out.ndim == 0 else out
 
 
-def _lhs(q: float, xi, slope: bool = False):
-    """lhs(q, xi) for scalar or array xi, without a domain check; with slope,
-    also d log lhs / d log xi, for the Newton steps, from the same powers."""
+def _lhs(q, xi, slope: bool = False, pole=None):
+    """lhs(q, xi) unchecked, its factor ((1+xi)/(1-xi))^3 from pole if given, and with slope
+    d log lhs / d log xi.  An array q of 1/2 takes sqrt(xi): numpy's array pow rounds apart."""
     a = xi ** (2.0 * q - 1.0)
     b = xi ** (2.0 * q)
     den = q * (a - xi) + (1.0 - q) * (1.0 - b)
-    lhs = xi ** q / den * ((1.0 + xi) / (1.0 - xi)) ** 3
+    root = np.where(q == 0.5, np.sqrt(xi), xi ** q) if isinstance(q, np.ndarray) else xi ** q
+    lhs = root / den * (((1.0 + xi) / (1.0 - xi)) ** 3 if pole is None else pole)
     if not slope:
         return lhs
     xi_dden = q * ((2.0 * q - 1.0) * a - xi) - 2.0 * q * (1.0 - q) * b
@@ -164,12 +165,11 @@ def stationarity_rhs(params: ModelParams) -> float:
 
 @dataclass(frozen=True, eq=False)
 class BatchSolution:
-    """Roots of the stationarity condition at one q, one row per coupling.
+    """Roots of the stationarity condition, shaped as q broadcast against the couplings.
 
-    A failed row (a coupling outside [0, LAMBDA_MAX], or a root below
-    1e-290) keeps its DomainError or BracketError in `errors` and NaN in
-    `xi_p` and `residual`; `solution(i)` re-raises it.  Row i belongs to the
-    i-th coupling of the call, which the record does not echo.
+    A failed row (a coupling outside [0, LAMBDA_MAX], or a root below 1e-290)
+    keeps its DomainError or BracketError in `errors` and NaN in `xi_p` and
+    `residual`; `solution(i)` re-raises it.  Both count rows in C order.
     """
 
     rhs: np.ndarray
@@ -184,20 +184,19 @@ class BatchSolution:
         if error is not None:
             # a row's error can be raised more than once; each raise starts a fresh traceback
             raise error.with_traceback(None)
-        return StationaritySolution(
-            float(self.xi_p[i]), float(self.rhs[i]), int(self.iterations[i]), float(self.residual[i])
-        )
+        return StationaritySolution(float(self.xi_p.flat[i]), float(self.rhs.flat[i]),
+                                    int(self.iterations.flat[i]), float(self.residual.flat[i]))
 
 
-def solve_batch(q: float, couplings) -> BatchSolution:
-    """Solve the stationarity condition at exponent q for every coupling at once.
+def solve_batch(q, couplings) -> BatchSolution:
+    """Solve the stationarity condition at q, a float or an array broadcast against the couplings.
 
     A row stops once its sign-change bracket is narrower than 1e-15
     relative; the residual of every root stays below ~1e-13 * max(1, rhs)
     across the validated window.  coupling = 0 gives xi_p = 0.  Rows fail
     one by one: a coupling outside [0, LAMBDA_MAX] (DomainError) or a root
-    below 1e-290 (BracketError) sets only that row's error.  An exponent
-    outside [Q_MIN, Q_MAX] fails every row and raises DomainError instead.
+    below 1e-290 (BracketError) sets only that row's error.  The first q
+    outside [Q_MIN, Q_MAX] in C order raises DomainError instead.
     """
     return _solve(q, couplings)
 
@@ -210,18 +209,17 @@ def solve_xi_p(params: ModelParams, q: float) -> StationaritySolution:
     return _solve(q, (params.coupling,)).solution(0)
 
 
-def _solve(q: float, couplings) -> BatchSolution:
-    # The body of solve_batch.  solve_xi_p calls it directly, so that the lhs
-    # evaluations of a single solve are direct children of solve_xi_p in a
-    # trace that wraps the public functions (benchmark/tracing.py).
-    _check_q(q)
-    lams = tuple(float(lam) for lam in couplings)
-    lam, n = np.array(lams), len(lams)
-    rhs = np.full(n, math.nan)
-    xi_p = np.full(n, math.nan)
-    residual = np.full(n, math.nan)
-    iterations = np.zeros(n, dtype=int)
-    errors: list[Exception | None] = [None] * n
+def _solve(q, couplings) -> BatchSolution:
+    # The body of solve_batch.  solve_xi_p calls it directly, so that a
+    # single solve is a direct child of solve_xi_p in a trace that wraps the
+    # public functions (benchmark/tracing.py).
+    for value in dict.fromkeys(np.ravel(q).tolist()):
+        _check_q(value)
+    qs, lam = np.broadcast_arrays(np.asarray(q, dtype=float), [float(v) for v in couplings])
+    shape, qs, lam = lam.shape, qs.ravel(), lam.ravel()
+    rhs, xi_p, residual = np.full((3, lam.size), math.nan)
+    iterations = np.zeros(lam.size, dtype=int)
+    errors: list[Exception | None] = [None] * lam.size
 
     # stationarity_rhs over the array; a refused coupling keeps the error it raises there,
     # without the traceback, which would tie this frame and `errors` in a cycle for the GC.
@@ -230,71 +228,72 @@ def _solve(q: float, couplings) -> BatchSolution:
     rhs[valid] = lam[valid] * _scalar(pow, 1.0 / (2.0 * (2.0 * s / (1.0 + s))), 2)
     for i in np.flatnonzero(~valid):
         try:
-            stationarity_rhs(ModelParams(coupling=lams[i]))
+            stationarity_rhs(ModelParams(coupling=float(lam[i])))
         except DomainError as exc:
             errors[i] = exc.with_traceback(None)
     xi_p[lam == 0.0] = residual[lam == 0.0] = 0.0
     rows = np.flatnonzero(valid & (lam != 0.0))
 
-    # Bracket [lo, hi] with lhs(lo) = llo < rhs < lhs(hi) = lhi by one binary
-    # search in the grid; a grid point where lhs equals rhs is the root.  Every
+    # Bracket [lo, hi] with lhs(lo) = llo < rhs < lhs(hi) = lhi by one binary search in
+    # the grid, scanned once per q; a grid point where lhs equals rhs is the root.  Every
     # rhs lies below lhs at the top of the grid (module docstring).
-    scan = stationarity_lhs(q, _GRID)
-    r = rhs[rows]
-    k = np.searchsorted(scan, r)
-    hit = scan[k] == r
+    r, qr, distinct = rhs[rows], qs[rows], sorted(set(qs[rows].tolist()))
+    which, k = np.searchsorted(distinct, qr), np.zeros(rows.size, dtype=int)
+    scans = np.array([_HALF_SCAN if v == 0.5 else _lhs(v, _GRID, pole=_GRID_POLE)
+                      for v in distinct]).reshape(-1, _GRID.size)
+    for j, scan in enumerate(scans):
+        k[which == j] = np.searchsorted(scan, r[which == j])
+    hit = scans[which, k] == r
     xi_p[rows[hit]] = _GRID[k[hit]]
     residual[rows[hit]] = 0.0
     for i in rows[~hit & (k == 0)]:
         errors[i] = BracketError(
             f"no sign change of the stationarity condition down to xi_p = {_WALK_FLOOR} "
-            f"at (coupling={lams[i]}, q={q})"
+            f"at (coupling={float(lam[i])}, q={float(qs[i])})"
         )
     keep = ~hit & (k > 0)
-    rows, r, k = rows[keep], r[keep], k[keep]
-    lo, llo, hi, lhi = _GRID[k - 1], scan[k - 1], _GRID[k], scan[k]
+    rows, r, qr, k, which = rows[keep], r[keep], qr[keep], k[keep], which[keep]
+    lo, llo, hi, lhi = _GRID[k - 1], scans[which, k - 1], _GRID[k], scans[which, k]
 
     # Newton steps on log xi from a log-log interpolation inside the bracket;
     # a point that leaves the bracket falls back to the geometric midpoint.
     # Each point is pushed _TOL/4 further toward the root, so that once the
     # Newton point has converged the next one lands across the root and
-    # closes the bracket.
-    steps = np.zeros(rows.size, dtype=int)
+    # closes the bracket.  Open rows (i into rows) step on copies that drop out as they close.
     x = lo * (hi / lo) ** (np.log(r / llo) / np.log(lhi / llo))
     nudge = 0.25 * _TOL
-    active = np.nonzero(hi - lo > _TOL * lo)[0]
-    for _ in range(_MAX_STEPS):
-        if not active.size:
+    i = np.flatnonzero(hi - lo > _TOL * lo)
+    lo_i, hi_i, x_i, r_i, q_i = lo[i], hi[i], x[i], r[i], qr[i]
+    for step in range(1, _MAX_STEPS + 1):
+        if not i.size:
             break
-        xa, ra, lo_a, hi_a = x[active], r[active], lo[active], hi[active]
-        outside = ~((lo_a < xa) & (xa < hi_a))
+        outside = ~((lo_i < x_i) & (x_i < hi_i))
         if outside.any():
             # lo * hi leaves the normal doubles for brackets below ~1.5e-154; elsewhere
             # sqrt(lo) * sqrt(hi) would move roots by an ulp
-            lo_o, hi_o = lo_a[outside], hi_a[outside]
-            xa[outside] = np.where(lo_o * hi_o >= np.finfo(float).tiny, np.sqrt(lo_o * hi_o),
-                                   np.sqrt(lo_o) * np.sqrt(hi_o))
+            lo_o, hi_o = lo_i[outside], hi_i[outside]
+            x_i[outside] = np.where(lo_o * hi_o >= np.finfo(float).tiny, np.sqrt(lo_o * hi_o),
+                                    np.sqrt(lo_o) * np.sqrt(hi_o))
         # every iterate lies inside its bracket, within (0, 1): no domain check
-        fa, slope = _lhs(q, xa, slope=True)
-        steps[active] += 1
-        up = fa < ra
-        lo[active[up]] = xa[up]
-        hi[active[~up]] = xa[~up]
-        lo[active[fa == ra]] = xa[fa == ra]
-        x[active] = xa * np.exp(np.log(ra / fa) / slope) * np.where(
-            up, 1.0 + nudge, 1.0 - nudge
-        )
-        active = active[hi[active] - lo[active] > _TOL * lo[active]]
-    root = 0.5 * (lo + hi)
-    xi_p[rows] = root
-    iterations[rows] = steps
-    residual[rows] = np.abs(stationarity_lhs(q, root) - r)
-    return BatchSolution(rhs, xi_p, iterations, residual, tuple(errors))
+        f, slope = _lhs(q_i, x_i, slope=True)
+        up = f < r_i
+        lo_i = np.where(up | (f == r_i), x_i, lo_i)
+        hi_i = np.where(up, hi_i, x_i)
+        x_i = x_i * np.exp(np.log(r_i / f) / slope) * np.where(up, 1.0 + nudge, 1.0 - nudge)
+        lo[i], hi[i], iterations[rows[i]] = lo_i, hi_i, step
+        go = hi_i - lo_i > _TOL * lo_i
+        if not go.all():
+            i, lo_i, hi_i, x_i, r_i, q_i = i[go], lo_i[go], hi_i[go], x_i[go], r_i[go], q_i[go]
+    xi_p[rows] = root = 0.5 * (lo + hi)
+    residual[rows] = np.abs(_lhs(qr, root) - r)
+    return BatchSolution(rhs.reshape(shape), xi_p.reshape(shape), iterations.reshape(shape),
+                         residual.reshape(shape), tuple(errors))
 
 
 def _scalar(f, x: np.ndarray, *args) -> np.ndarray:
-    """f(v, *args) for each element v of x as a Python float: pow on libm, not numpy's loop."""
-    return np.fromiter(map(f, x.tolist(), *([arg] * x.size for arg in args)), float, x.size)
+    """f on each element of a 1-D x and of args (scalars or like x), as Python floats: libm."""
+    args = (arg.tolist() if np.ndim(arg) else [arg] * x.size for arg in args)
+    return np.fromiter(map(f, x.tolist(), *args), float, x.size)
 
 
 def sweep(params_base: ModelParams, q_list, lambda_grid) -> tuple[dict, np.ndarray]:
@@ -302,15 +301,24 @@ def sweep(params_base: ModelParams, q_list, lambda_grid) -> tuple[dict, np.ndarr
 
     Rows run q-major then coupling-minor, both ascending; each column, keyed by
     its name in table order, broadcasts to (q, coupling): q once per q, lambda
-    and the q-independent columns once per grid, the others once per
+    and the q-independent columns once per grid, the others from one
     `solve_batch`, and "error" the solver's error texts, None where the row
     solved.  The solver alone decides which rows fail, and a failed row reads
-    NaN in every number but q and lambda, as `_rows` lays the table out.
+    NaN in every number but q and lambda, as `_rows` lays the table out; a
+    NaN coupling, which has no place in the order, raises DomainError.
     Columns follow their scalar functions' operations, with pow, expm1 and
-    log1p on scalar libm; only the two energy columns depend on omega0.
+    log1p on libm; only the energies scale with omega0.
     """
-    qs = sorted(set(float(q) for q in q_list))
+    qs = np.array(sorted(set(float(q) for q in q_list)))[:, None]
     lams = sorted(set(float(lam) for lam in lambda_grid))
+    if any(math.isnan(v) for v in lams):
+        raise DomainError("sweep couplings must not be NaN, which has no place in their order")
+    batch = solve_batch(qs, lams)
+    return _columns(params_base, qs, lams, batch.xi_p, batch.errors)
+
+
+def _columns(params_base: ModelParams, qs: np.ndarray, lams: list, xi_p: np.ndarray, errors):
+    """`sweep`'s columns and failed mask, from a (k, 1) qs, n lams and their (k, n) roots."""
     # only couplings in [0, LAMBDA_MAX] solve; 0.0 stands in for the others, whose rows fail
     lam = np.array([v if 0.0 <= v <= LAMBDA_MAX else 0.0 for v in lams])
     w0 = params_base.omega0
@@ -320,22 +328,20 @@ def sweep(params_base: ModelParams, q_list, lambda_grid) -> tuple[dict, np.ndarr
     xi, dual = _scalar(_xi, lam), -lam / (1.0 - 2.0 * lam)
     dual_entropy = linear_entropy(_scalar(_xi, dual))
     dual[lam == 0.0] = dual_entropy[lam == 0.0] = math.nan  # the uncoupled row has no dual
-    per_q = np.full((5, len(qs), len(lams)), math.nan)
-    errors = np.full(per_q.shape[1:], None, dtype=object)
-    for b, q in enumerate(qs):
-        batch = solve_batch(q, lams)
-        errors[b] = [None if error is None else str(error) for error in batch.errors]
-        ok = np.flatnonzero(np.equal(errors[b], None))
-        xp = batch.xi_p[ok]
-        bracket = 2.0 - (1.0 - _scalar(pow, xp, q)) * (1.0 - _scalar(pow, xp, 1.0 - q)) / (1.0 + xp)
-        kinetic = 0.5 * w_s[ok] * _scalar(pow, (1.0 + xp) / (1.0 - xp), 2)
-        per_q[:, b, ok] = (xp, xp / np.where(xi[ok] > 0.0, xi[ok], math.nan),
-                           kinetic + external[ok] + (0.0 - scale[ok] * bracket),
-                           purity(xp), linear_entropy(xp))
+    errors = np.array([None if e is None else str(e) for e in errors], object).reshape(xi_p.shape)
+    failed = np.not_equal(errors, None)
+    b, j = np.nonzero(~failed)
+    xp, q = xi_p[b, j], qs[b, 0]
+    bracket = 2.0 - (1.0 - _scalar(pow, xp, q)) * (1.0 - _scalar(pow, xp, 1.0 - q)) / (1.0 + xp)
+    kinetic = 0.5 * w_s[j] * _scalar(pow, (1.0 + xp) / (1.0 - xp), 2)
+    per_q = np.full((5, *failed.shape), math.nan)
+    per_q[:, b, j] = (xp, xp / np.where(xi[j] > 0.0, xi[j], math.nan),
+                      kinetic + external[j] + (0.0 - scale[j] * bracket),
+                      purity(xp), linear_entropy(xp))
     e_ex_total = 0.25 * (w0 + w2) + external + (0.0 - scale * (2.0 - w_s / w0))
-    columns = (np.array(qs)[:, None], np.array(lams), xi, *per_q[:3], e_ex_total, *per_q[3:],
+    columns = (qs, np.array(lams), xi, *per_q[:3], e_ex_total, *per_q[3:],
                linear_entropy(xi), dual, dual_entropy, errors)
-    return dict(zip(_SWEEP_COLUMNS, columns)), np.not_equal(errors, None)
+    return dict(zip(_SWEEP_COLUMNS, columns)), failed
 
 
 def _rows(columns: dict, failed=False, blank=math.nan) -> list[tuple]:
@@ -417,8 +423,9 @@ def scaling_exponent(params_base: ModelParams, q: float) -> float:
     The slope is symmetric under q <-> 1-q.  Nothing depends on omega0, so
     params_base is unread, kept only for positional callers.
     """
-    lams = np.geomspace(1e-4, 1e-3, 8)
-    batch = solve_batch(q, lams)
-    roots = [batch.solution(i).xi_p for i in range(lams.size)]
-    slope = np.polyfit(np.log(lams), np.log(roots), 1)[0]
-    return float(slope)
+    return _fit_slope(solve_batch(q, _SCALING_COUPLINGS).xi_p)  # no fit coupling fails
+
+
+def _fit_slope(roots) -> float:
+    """The least-squares slope of log root against log coupling at `_SCALING_COUPLINGS`."""
+    return float(np.polyfit(np.log(_SCALING_COUPLINGS), np.log(roots), 1)[0])

@@ -128,17 +128,40 @@ class TestFusedStep:
         assert lhs.tobytes() == stationarity_lhs(q, self.XI).tobytes()
         assert slope.tobytes() == _old_dlog_lhs(q, self.XI).tobytes()
 
-    def test_a_batch_calls_the_public_lhs_twice(self, monkeypatch):
-        # once on the scan and once for the residuals; the Newton steps call the fused helper
-        calls = []
-        lhs = solver_module.stationarity_lhs
+    def test_a_batch_scans_each_exponent_once_without_the_public_lhs(self, monkeypatch):
+        # the scan reads the frozen grid factor (q = 1/2 its frozen scan), and the Newton steps
+        # and the residuals call the fused helper: none goes through the public domain check
+        public, scans = [], []
+        lhs, fused = solver_module.stationarity_lhs, solver_module._lhs
         monkeypatch.setattr(solver_module, "stationarity_lhs",
-                            lambda q, xi: calls.append(np.size(xi)) or lhs(q, xi))
-        for q in (0.3, 0.5, 0.7):
-            calls.clear()
+                            lambda q, xi: public.append(q) or lhs(q, xi))
+        monkeypatch.setattr(solver_module, "_lhs", lambda q, xi, *args, **kwargs: (
+            scans.append(q) if np.size(xi) == solver_module._GRID.size else None)
+            or fused(q, xi, *args, **kwargs))
+        for q in (0.3, 0.5, 0.7, [[0.3], [0.5], [0.7]], [0.5, 0.3, 0.5, 0.7, 0.3, 0.3]):
+            public.clear()
+            scans.clear()
             batch = solve_batch(q, [0.0, 1e-200, 1e-9, 0.3, 0.4999, 0.6])
             assert batch.iterations.max() > 0
-            assert len(calls) == 2, q
+            assert public == [] and scans == sorted(set(np.ravel(q).tolist()) - {0.5}), q
+
+    def test_the_grid_factor_is_frozen_as_lhs_forms_it(self):
+        grid = solver_module._GRID
+        assert solver_module._GRID_POLE.tobytes() == (((1.0 + grid) / (1.0 - grid)) ** 3).tobytes()
+        for q in (0.3, 0.5, 0.6123):
+            assert (solver_module._lhs(q, grid, pole=solver_module._GRID_POLE).tobytes()
+                    == stationarity_lhs(q, grid).tobytes())
+        # at q = 1/2 the denominator is 1 - xi exactly: sqrt(xi)/(1 - xi) times the factor
+        assert solver_module._HALF_SCAN.tobytes() == stationarity_lhs(0.5, grid).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(q=st.floats(0.3, 0.7), half=st.booleans())
+    def test_array_exponents_match_the_scalar_path(self, q, half):
+        # numpy takes sqrt for a scalar exponent 0.5 but pow for an array one; _lhs masks it
+        q = 0.5 if half else q
+        lhs, slope = solver_module._lhs(np.full(self.XI.size, q), self.XI, slope=True)
+        scalar_lhs, scalar_slope = solver_module._lhs(q, self.XI, slope=True)
+        assert lhs.tobytes() == scalar_lhs.tobytes() and slope.tobytes() == scalar_slope.tobytes()
 
 
 class TestSolve:
@@ -300,6 +323,12 @@ class TestSweep:
         assert math.isnan(bad[0]["xi_p"])
         assert "coupling" in bad[0]["error"]
 
+    def test_nan_coupling_is_refused_before_any_solve(self, monkeypatch):
+        # a NaN has no place in the ascending coupling order
+        monkeypatch.setattr(solver_module, "_solve", lambda *args: pytest.fail("solved"))
+        with pytest.raises(DomainError, match="must not be NaN"):
+            sweep(BASE, [0.5], [0.2, math.nan, 0.1, math.nan])
+
     def test_uncoupled_row_has_undefined_ratio(self):
         r = _sweep_rows(BASE, [0.5], [0.0])[0]
         assert r["xi_p"] == 0.0 and math.isnan(r["ratio"])
@@ -443,6 +472,48 @@ class TestBatch:
             sol = batch.solution(i)
             assert abs(stationarity_lhs(q, sol.xi_p) - sol.rhs) <= 1e-13 * max(1.0, sol.rhs)
             assert sol.residual <= 1e-13 * max(1.0, sol.rhs)
+
+
+def _row(batch, i):
+    """Row i of a batch by its bits: xi_p, residual, iterations and the error's type and text."""
+    error = batch.errors[i]
+    return (batch.xi_p.flat[i].hex(), batch.residual.flat[i].hex(), int(batch.iterations.flat[i]),
+            None if error is None else (type(error), str(error)))
+
+
+_EXPONENTS = st.lists(st.one_of(st.just(0.5), st.sampled_from([0.3, 0.7]), st.floats(0.3, 0.7)),
+                      min_size=1, max_size=4)
+
+
+class TestOneLoop:
+    """One call over many (q, coupling) rows is one-row calls, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(qs=_EXPONENTS, seed=st.integers(0, 2 ** 32 - 1), edges=_EDGE_COUPLINGS,
+           refused=st.lists(st.floats(allow_nan=True).filter(lambda v: not 0.0 <= v <= LAMBDA_MAX),
+                            max_size=3))
+    def test_rows_match_one_row_solves(self, qs, seed, edges, refused):
+        # each coupling with one of the drawn exponents, and every exponent on every coupling
+        lams = _window_couplings(seed, 12) + edges + refused
+        per_row = np.random.default_rng(seed).choice(qs, len(lams))
+        batch = solve_batch(per_row, lams)
+        assert [_row(batch, i) for i in range(len(lams))] == [
+            _row(solve_batch(q, [lam]), 0) for q, lam in zip(per_row.tolist(), lams)]
+        grid = solve_batch(np.array(qs)[:, None], lams)
+        assert grid.xi_p.shape == (len(qs), len(lams))
+        assert [_row(grid, i) for i in range(grid.xi_p.size)] == [
+            _row(solve_batch(q, [lam]), 0) for q in qs for lam in lams]
+
+    def test_first_bad_exponent_in_c_order_is_named(self):
+        for q, bad in (([0.4, 0.8, 0.2], 0.8), ([[0.2], [0.8]], 0.2), ([0.5, math.nan], "nan")):
+            with pytest.raises(DomainError, match=rf"got {bad}$"):
+                solve_batch(q, [0.1])
+
+    def test_solution_indexes_the_flattened_rows(self):
+        batch = solve_batch([[0.3], [0.5]], [0.1, 0.49995])
+        assert batch.solution(2) == solve_xi_p(ModelParams(coupling=0.1), 0.5)
+        with pytest.raises(DomainError, match="stationarity condition is defined"):
+            batch.solution(3)
 
 
 class TestCrossing:
