@@ -20,29 +20,37 @@ bit for bit; only the energies that `sweep` reports scale with omega0.
 The solver works in log space, because for small coupling the root scales
 like a power of the coupling (xi_p ~ coupling^(1/max(q, 1-q)) for q != 1/2,
 ~ coupling^2/16 at q = 1/2) and absolute-width steps would lose all
-relative accuracy.  `solve_batch` takes (q, coupling) rows: lhs is evaluated
-once per distinct q, with its q-free factor ((1+xi)/(1-xi))^3 frozen, on one
-logarithmic grid, from 1 - 1e-9 down to 1e-12 and by decades below it to
-1e-290, and each row is bracketed by one binary search in it.  All rows then
-advance together by Newton steps on log xi_p, falling back to the geometric
-midpoint whenever a step would leave the bracket, until each sign-change
-bracket is narrower than 1e-15 relative, which keeps every root residual at
-or below 1e-13 * max(1, rhs).  Each step forms lhs and d log lhs / d log xi_p
-from one set of powers, without a domain check, as the brackets keep every
-iterate inside (0, 1).  `solve_xi_p` is a batch of one on the same path, and
-each command makes one `solve_batch` call for all its exponents.
+relative accuracy.  `solve_batch` takes (q, coupling) rows.  Each row starts
+at x0 = max(xi(coupling), 1e-290), the closed-form root at q = 1/2, where one
+lhs evaluation with its log-slope brackets the root (below) and gives the
+first Newton step on log xi_p.  All rows then advance together by Newton
+steps, falling back to the geometric midpoint whenever a step would leave
+the bracket, until each sign-change bracket is narrower than 1e-15
+relative, which keeps every root residual at or below 1e-13 * max(1, rhs).
+Each step forms lhs and d log lhs / d log xi_p from one set of powers,
+without a domain check, as the brackets keep every iterate inside (0, 1);
+the denominator's differences xi^(2-2q) - 1 and xi^(2q) - 1 come from expm1,
+so that it does not cancel next to the pole.  `solve_xi_p` is a batch of one
+on the same path, and each command makes one `solve_batch` call for all its
+exponents.
 
-Why one search in the grid brackets every root.  With t = -ln xi,
+Why one lhs brackets every root.  With t = -ln xi,
 
     lhs = ((1+xi)/(1-xi))^3 / (2 [q sinh((1-q)t) + (1-q) sinh(qt)]),
 
 so lhs is symmetric under q <-> 1-q and rises strictly in xi for every q in
 (0, 1): each root is unique.  As cosh >= sinh, the log-slope of lhs in xi is
-at least min(q, 1-q), so for q in [Q_MIN, Q_MAX] each grid step (1.35 % or
-more) raises lhs by 0.4 % or more, far above its rounding.  rhs rises with
-the coupling to rhs(LAMBDA_MAX) = 160.67, and sinh x <= x cosh x gives
-lhs(XI_P_MAX) >= 8.0e36, so no sign change is missed above the grid.  The
-one failure left is a root below 1e-290 (at coupling 1e-300, for example).
+at least m = min(q, 1-q), so f = lhs(x0) bounds the root on both sides: if
+f < rhs it lies in (x0, x0 (rhs/f)^(1/m)], and otherwise in
+[x0 (rhs/f)^(1/m), x0].  rhs rises with the coupling to rhs(LAMBDA_MAX) =
+160.67, and sinh x <= x cosh x gives lhs(XI_P_MAX) >= 8.0e36, so the upper
+end is cut at XI_P_MAX.  At x0 = xi(coupling), rhs = lhs(1/2, x0); lhs(q, x0)
+exceeds it only where sinh(t/2) > q sinh((1-q)t) + (1-q) sinh(qt), that is
+above the ratio crossing, and then by at most 1/(4q(1-q)) <= 1.2, so a
+bracket below x0 stays within a factor 0.55 of it.  It reaches 1e-290 only
+where x0 is 1e-290 itself: a row fails, with BracketError, exactly when
+lhs(q, 1e-290) > rhs, that is when its root lies below 1e-290 (at coupling
+1e-300, for example).
 
 The ratio crossing xi_p = xi needs no solve: as q = 1/2 recovers the exact
 xi, `find_crossing` takes the root of lhs(q, xi) = lhs(1/2, xi) by the same
@@ -79,18 +87,8 @@ __all__ = [
 Q_MIN = 0.3
 Q_MAX = 0.7
 
-#: Below 1e-12 the grid steps down by decades, to the first one at or below this xi_p.
-_WALK_FLOOR = 1e-290
-#: The grid on which every batch brackets its roots: each decade is a tenth of the one
-#: above it, and 2048 logarithmic points run from 1e-12 to XI_P_MAX.
-_GRID = [1e-12]
-while _GRID[-1] > _WALK_FLOOR:
-    _GRID.append(_GRID[-1] / 10.0)
-_GRID = np.concatenate((_GRID[:0:-1], np.geomspace(1e-12, XI_P_MAX, 2048)))
-assert ((0.0 < _GRID) & (_GRID < 1.0)).all()  # inside lhs's domain, checked once
-_GRID_POLE = ((1.0 + _GRID) / (1.0 - _GRID)) ** 3  # lhs's q-free factor, as `_lhs` forms it
-_HALF_SCAN = np.sqrt(_GRID) / (1.0 - _GRID) * _GRID_POLE  # lhs at q = 1/2, the commands' usual q
-_GRID.flags.writeable = _GRID_POLE.flags.writeable = _HALF_SCAN.flags.writeable = False
+#: The smallest root: a row fails where lhs at this xi_p lies above its rhs.
+_ROOT_FLOOR = 1e-290
 _MAX_STEPS = 200
 #: Relative width of the sign-change bracket at which a root or crossing stops.
 _TOL = 1e-15
@@ -136,18 +134,21 @@ def stationarity_lhs(q: float, xi_p):
     return float(out) if out.ndim == 0 else out
 
 
-def _lhs(q, xi, slope: bool = False, pole=None):
-    """lhs(q, xi) unchecked, its factor ((1+xi)/(1-xi))^3 from pole if given, and with slope
-    d log lhs / d log xi.  An array q of 1/2 takes sqrt(xi): numpy's array pow rounds apart."""
+def _lhs(q, xi, slope: bool = False):
+    """lhs(q, xi) unchecked, and with slope d log lhs / d log xi.  The denominator takes
+    xi^(2-2q) - 1 and xi^(2q) - 1 from expm1: its two terms are then both positive, and
+    nothing cancels at the pole.  An array q of 1/2 takes sqrt(xi): numpy's array pow
+    rounds apart."""
+    log = np.log(xi)
     a = xi ** (2.0 * q - 1.0)
-    b = xi ** (2.0 * q)
-    den = q * (a - xi) + (1.0 - q) * (1.0 - b)
+    b_1 = np.expm1(2.0 * q * log)
+    den = -q * a * np.expm1((2.0 - 2.0 * q) * log) - (1.0 - q) * b_1
     root = np.where(q == 0.5, np.sqrt(xi), xi ** q) if isinstance(q, np.ndarray) else xi ** q
-    lhs = root / den * (((1.0 + xi) / (1.0 - xi)) ** 3 if pole is None else pole)
+    lhs = root / den * ((1.0 + xi) / (1.0 - xi)) ** 3
     if not slope:
         return lhs
-    xi_dden = q * ((2.0 * q - 1.0) * a - xi) - 2.0 * q * (1.0 - q) * b
-    return lhs, q - xi_dden / den + 6.0 * xi / (1.0 - xi * xi)
+    xi_dden = q * ((2.0 * q - 1.0) * a - xi) - 2.0 * q * (1.0 - q) * (1.0 + b_1)
+    return lhs, q - xi_dden / den + 6.0 * xi / ((1.0 - xi) * (1.0 + xi))
 
 
 def stationarity_rhs(params: ModelParams) -> float:
@@ -234,34 +235,28 @@ def _solve(q, couplings) -> BatchSolution:
     xi_p[lam == 0.0] = residual[lam == 0.0] = 0.0
     rows = np.flatnonzero(valid & (lam != 0.0))
 
-    # Bracket [lo, hi] with lhs(lo) = llo < rhs < lhs(hi) = lhi by one binary search in
-    # the grid, scanned once per q; a grid point where lhs equals rhs is the root.  Every
-    # rhs lies below lhs at the top of the grid (module docstring).
-    r, qr, distinct = rhs[rows], qs[rows], sorted(set(qs[rows].tolist()))
-    which, k = np.searchsorted(distinct, qr), np.zeros(rows.size, dtype=int)
-    scans = np.array([_HALF_SCAN if v == 0.5 else _lhs(v, _GRID, pole=_GRID_POLE)
-                      for v in distinct]).reshape(-1, _GRID.size)
-    for j, scan in enumerate(scans):
-        k[which == j] = np.searchsorted(scan, r[which == j])
-    hit = scans[which, k] == r
-    xi_p[rows[hit]] = _GRID[k[hit]]
-    residual[rows[hit]] = 0.0
-    for i in rows[~hit & (k == 0)]:
+    # One lhs at x, the exact root at q = 1/2, brackets each row by the slope bound of the
+    # module docstring and gives its first Newton step on log xi.  Each point is pushed
+    # _TOL/4 further toward the root, so that once the Newton point has converged the next
+    # one lands across the root and closes the bracket; a point that leaves the bracket
+    # falls back to the geometric midpoint.  Open rows (i into rows) step on copies that
+    # drop out as they close.
+    r, qr = rhs[rows], qs[rows]
+    one_minus_u = -np.expm1(np.log1p(-2.0 * lam[rows]) / 4.0)  # model._xi over the array
+    x = np.maximum((one_minus_u / (2.0 - one_minus_u)) ** 2, _ROOT_FLOOR)
+    f, slope = _lhs(qr, x, slope=True)
+    up = f < r
+    far = x * (r / f) ** (1.0 / np.minimum(qr, 1.0 - qr))
+    below = (f > r) & (x == _ROOT_FLOOR)
+    for i in rows[below]:
         errors[i] = BracketError(
-            f"no sign change of the stationarity condition down to xi_p = {_WALK_FLOOR} "
+            f"no sign change of the stationarity condition down to xi_p = {_ROOT_FLOOR} "
             f"at (coupling={float(lam[i])}, q={float(qs[i])})"
         )
-    keep = ~hit & (k > 0)
-    rows, r, qr, k, which = rows[keep], r[keep], qr[keep], k[keep], which[keep]
-    lo, llo, hi, lhi = _GRID[k - 1], scans[which, k - 1], _GRID[k], scans[which, k]
-
-    # Newton steps on log xi from a log-log interpolation inside the bracket;
-    # a point that leaves the bracket falls back to the geometric midpoint.
-    # Each point is pushed _TOL/4 further toward the root, so that once the
-    # Newton point has converged the next one lands across the root and
-    # closes the bracket.  Open rows (i into rows) step on copies that drop out as they close.
-    x = lo * (hi / lo) ** (np.log(r / llo) / np.log(lhi / llo))
+    rows, r, qr, x, f, slope, up, far = (v[~below] for v in (rows, r, qr, x, f, slope, up, far))
+    lo, hi = np.where(up, x, far), np.where(up, np.minimum(far, XI_P_MAX), x)
     nudge = 0.25 * _TOL
+    x = x * np.exp(np.log(r / f) / slope) * np.where(up, 1.0 + nudge, 1.0 - nudge)
     i = np.flatnonzero(hi - lo > _TOL * lo)
     lo_i, hi_i, x_i, r_i, q_i = lo[i], hi[i], x[i], r[i], qr[i]
     for step in range(1, _MAX_STEPS + 1):

@@ -27,7 +27,7 @@ SWEEP_FIXTURES = [
     # error rows: negative couplings, and couplings past LAMBDA_MAX and the stability bound
     ("sweep_out_of_window.csv", "-0.2:0.6:17", ("--q", "0.5", "--q", "0.4"), 1),
     ("sweep_past_edge.csv", "0.4998:0.50005:6", ("--q", "0.5", "--q", "0.4"), 1),
-    # roots down to 1.8e-289 below the scan window, and rows with none above xi_p = 1e-290
+    # roots down to 1.8e-289, and rows with none above xi_p = 1e-290
     ("sweep_decades.csv", "1e-300:1e-3:25:log", ("--q", "0.3", "--q", "0.5", "--q", "0.7"), 1),
     # 288-row sweeps of the benchmark's shape, each with one error row per q past LAMBDA_MAX
     ("sweep_grid_log.csv", "1.5e-9:0.49995:96:log", ("--q", "0.5", "--q", "0.3512", "--q", "0.6123"), 0),
@@ -357,7 +357,7 @@ class TestFigure1:
         assert out == (FIXTURES / "figure1_edge.json").read_bytes().decode("utf-8")
 
     def test_a_failed_exponent_keeps_the_other_ones_columns(self, capsys):
-        # at 1e-200 and 1e-175 only q = 0.4 falls below the decade floor; q = 0.3 solves
+        # at 1e-200 and 1e-175 only q = 0.4 falls below the 1e-290 floor; q = 0.3 solves
         code, out, _ = run_cli(capsys, "figure1", "--lambda-grid", "1e-200:1e-150:3:log")
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert code == 1
@@ -559,7 +559,7 @@ class TestOutput:
 
     def test_csv_text_of_sweep_rows_matches_the_per_cell_writer(self):
         # error rows ahead of, among and after solved ones, the uncoupled row at -0.0, and
-        # 1e-200, whose root falls below the decade floor at q = 0.5 but not at q = 0.3
+        # 1e-200, whose root falls below the 1e-290 floor at q = 0.5 but not at q = 0.3
         grid = [-0.1, -0.0, 1e-300, 1e-200, 1e-9, 0.3, 0.49995]
         rows = _sweep_rows(ModelParams(), [0.3, 0.5], grid)
         assert [r["error"] is not None for r in rows] == [True, False, True, False, False, False,

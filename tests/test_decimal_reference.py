@@ -1,55 +1,19 @@
-"""The solver against lhs and rhs written out in 40-digit `decimal` from their formulas.
+"""The solver and lhs against the stationarity condition in 40-digit `decimal`.
 
-The reference shares no code and no arithmetic with `harmonium.solver`: it
-takes the stationarity condition from its definition,
-
-    lhs(q, xi) = xi^q / (q (xi^(2q-1) - xi) + (1-q)(1 - xi^(2q))) ((1+xi)/(1-xi))^3,
-    rhs(coupling) = coupling ((1+s) / (4s))^2,  s = sqrt(1 - 2 coupling),
-
-and evaluates it in `decimal` at 40 digits, which keeps over 30 of them through
-the cancellation of the denominator at 1 - xi = 1e-9.  As d log lhs / d log xi
->= min(q, 1-q) (the `solver` docstring proves it), a root's relative forward
-error is at most |log(lhs(root) / rhs)| / min(q, 1-q).
+The reference (`decimal_reference`) shares no code with `harmonium.solver`.
 """
 
 import math
-from decimal import Context, Decimal, localcontext
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonium import BracketError, solve_batch
+from decimal_reference import forward_error_bound, lhs_dec, rel_error, rhs_dec
+from harmonium import BracketError, solve_batch, stationarity_lhs
 from harmonium.model import LAMBDA_MAX
 
-_CTX = Context(prec=40)
 #: The smallest root the solver returns; a row whose root lies below it fails.
 _FLOOR = 1e-290
-
-
-def _dec(x: float) -> Decimal:
-    # round the double's exact expansion to the context first: one power of the 1e-290
-    # double's full expansion takes tens of milliseconds
-    return _CTX.plus(Decimal(x))
-
-
-def lhs_dec(q: float, xi: float) -> Decimal:
-    with localcontext(_CTX):
-        q, xi = _dec(q), _dec(xi)
-        den = q * (xi ** (2 * q - 1) - xi) + (1 - q) * (1 - xi ** (2 * q))
-        return xi ** q / den * ((1 + xi) / (1 - xi)) ** 3
-
-
-def rhs_dec(coupling: float) -> Decimal:
-    with localcontext(_CTX):
-        lam = _dec(coupling)
-        s = (1 - 2 * lam).sqrt()
-        return lam * ((1 + s) / (4 * s)) ** 2
-
-
-def forward_error_bound(q: float, root: float, coupling: float) -> float:
-    """Bound on |root / exact root - 1| from the lhs slope bound, to first order."""
-    with localcontext(_CTX):
-        return abs(float((lhs_dec(q, root) / rhs_dec(coupling)).ln()) / min(q, 1.0 - q))
 
 
 #: Exponents over the validated window, with q = 1/2 and the window's ends drawn often.
@@ -57,6 +21,10 @@ _EXPONENTS = st.one_of(st.sampled_from([0.3, 0.5, 0.7]), st.floats(0.3, 0.7))
 #: Couplings log-uniform from 1e-300 to 0.4999.
 _COUPLINGS = st.lists(st.floats(-300.0, math.log10(0.4999)).map(lambda e: 10.0 ** e),
                       min_size=1, max_size=12)
+#: xi_p log-uniform from 1e-290 to 0.9, and with 1 - xi_p log-uniform from 1e-9 to 0.1.
+_XI = st.lists(st.one_of(st.floats(-290.0, math.log10(0.9)).map(lambda e: 10.0 ** e),
+                         st.floats(-9.0, -1.0).map(lambda e: 1.0 - 10.0 ** e)),
+               min_size=1, max_size=12)
 
 
 class TestSolverAgainstDecimal:
@@ -77,3 +45,12 @@ class TestSolverAgainstDecimal:
             if error is not None:
                 assert isinstance(error, BracketError), (q, lam, error)
                 assert lhs_dec(q, _FLOOR) > rhs_dec(lam), (q, lam)
+
+
+class TestLhsAgainstDecimal:
+    @settings(max_examples=60, deadline=None)
+    @given(q=_EXPONENTS, xi=_XI)
+    def test_within_1e_15_up_to_the_pole(self, q, xi):
+        # the denominator's two differences cancel at the pole unless taken from expm1
+        for x, value in zip(xi, stationarity_lhs(q, xi).tolist()):
+            assert rel_error(value, lhs_dec(q, x)) <= 1e-15, (q, x)
