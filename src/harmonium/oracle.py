@@ -369,7 +369,7 @@ def _energy_on_pairs(params: ModelParams, rule: QuadratureRule, psi2=None) -> En
     return EnergyBreakdown.from_terms(
         quad_pairs(rule, kin),
         quad_pairs(rule, ext),
-        quad_pairs(rule, psi2 * _pair_potential(params, x1, x2)),
+        quad_pairs(rule, psi2 * _pair_potential(params, x1 - x2)),
     )
 
 
@@ -403,16 +403,20 @@ def _kernel_on_grid(
     n1 = density(params, rule.nodes)
     basis = reference_basis(spectrum.truncation, state.omega_p, rule.nodes)
     gq = (basis * (spectrum.weights ** spec.q)[:, None]).T @ basis
-    gr = (basis * (spectrum.weights ** spec.r)[:, None]).T @ basis
-    return 2.0 * np.outer(n1, n1) - gq * gr
+    gq *= (basis * (spectrum.weights ** spec.r)[:, None]).T @ basis
+    kern = np.outer(n1, n1)  # doubled after the product: (2 n1) n1 rounds apart if subnormal
+    return np.subtract(np.multiply(kern, 2.0, out=kern), gq, out=kern)
 
 
-def _pair_potential(params: ModelParams, x1, x2):
-    return -0.5 * params.coupling * params.omega0 ** 2 * (x1 - x2) ** 2
+def _pair_potential(params: ModelParams, diff: np.ndarray) -> np.ndarray:
+    """-coupling omega0^2 diff^2 / 2 at diff = x1 - x2, formed in diff's buffer."""
+    np.square(diff, out=diff)
+    return np.multiply(diff, -0.5 * params.coupling * params.omega0 ** 2, out=diff)
 
 
 def _interaction_on_grid(params: ModelParams, rule: QuadratureRule, kern: np.ndarray) -> float:
-    return quad_2d(rule, kern * _pair_potential(params, rule.nodes[:, None], rule.nodes[None, :]))
+    terms = _pair_potential(params, np.subtract.outer(rule.nodes, rule.nodes))  # quad_2d's terms
+    return _fsum(np.multiply(np.multiply(terms, kern, out=terms), rule.weights_2d, out=terms))
 
 
 def kernel_interaction_numeric(

@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -510,6 +511,17 @@ class TestReport:
         # six exponents, a repeated one, q = 1/2 among others, and exponents outside the
         # window, of which the first in the user's order names the error
         assert run_cli(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
+
+    def test_report_makes_no_lapack_call(self, capsys, monkeypatch):
+        # the scaling fit is a closed form: a least-squares solve through numpy.linalg on
+        # the report path would raise here
+        def refuse(*args, **kwargs):
+            raise AssertionError("report reached a LAPACK least-squares solve")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        monkeypatch.setattr(np, "polyfit", refuse)
+        frozen = (FIXTURES / "report_default.json").read_bytes().decode("utf-8")
+        assert run_cli(capsys, "report") == (0, frozen, "")
 
     def test_repeated_q_is_reported_once(self, capsys):
         once = run_cli(capsys, "report", "--q", "0.4")

@@ -572,7 +572,7 @@ class TestFsumRows:
             return (psi2,
                     -0.5 * (g1 ** 2 + g2 ** 2 - 2.0 * sum_w) * psi2,
                     0.5 * params.omega0 ** 2 * (x1 ** 2 + x2 ** 2) * psi2,
-                    psi2 * _pair_potential(params, x1, x2))
+                    psi2 * _pair_potential(params, x1 - x2))
 
         full = [quad_2d(rule, v) for v in integrands(rule.nodes[:, None], rule.nodes[None, :])]
         half = [quad_pairs(rule, v) for v in integrands(*rule.pairs[:2])]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -583,3 +584,16 @@ class TestScaling:
         assert scaling_exponent(BASE, 0.6) == pytest.approx(
             scaling_exponent(BASE, 0.4), rel=1e-12
         )
+
+    def test_matches_the_exact_least_squares_slope(self):
+        # the slope in rationals over the same libm logs: the closed-form fit rounds by at
+        # most about one ulp, where np.polyfit lost up to 2.3e-15
+        couplings = solver_module._SCALING_COUPLINGS
+        xs = [Fraction(math.log(lam)) for lam in couplings]
+        x_bar = sum(xs) / len(xs)
+        sxx = sum((x - x_bar) ** 2 for x in xs)
+        for q in sorted({*np.linspace(0.3, 0.7, 41).tolist(), 0.5}):
+            ys = [Fraction(math.log(root)) for root in solve_batch(q, couplings).xi_p.tolist()]
+            y_bar = sum(ys) / len(ys)
+            exact = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)) / sxx
+            assert abs(Fraction(scaling_exponent(BASE, q)) - exact) <= Fraction(2.3e-16) * exact, q
