@@ -133,11 +133,16 @@ class EnergyBreakdown:
         return cls(kinetic, external, interaction, kinetic + external + interaction)
 
 
-def derive_frequencies(params: ModelParams) -> DerivedFrequencies:
-    """Normal-mode frequencies, their means, and xi, accurate at small coupling (`_xi`)."""
+def _modes(params: ModelParams) -> tuple[float, float, float]:
+    """omega1, omega2 and their harmonic mean omega_s; the first half of `derive_frequencies`."""
     omega1 = params.omega0
     omega2 = params.omega0 * math.sqrt(1.0 - 2.0 * params.coupling)
-    omega_s = 2.0 * omega1 * omega2 / (omega1 + omega2)
+    return omega1, omega2, 2.0 * omega1 * omega2 / (omega1 + omega2)
+
+
+def derive_frequencies(params: ModelParams) -> DerivedFrequencies:
+    """Normal-mode frequencies, their means, and xi, accurate at small coupling (`_xi`)."""
+    omega1, omega2, omega_s = _modes(params)
     omega_bar = math.sqrt(omega1 * omega2)
     s1 = math.sqrt(omega1)
     s2 = math.sqrt(omega2)

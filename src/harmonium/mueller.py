@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import LAMBDA_MAX, EnergyBreakdown, ModelParams, derive_frequencies
+from .model import LAMBDA_MAX, EnergyBreakdown, ModelParams, _modes
 from .spectral import _check_xi
 
 __all__ = [
@@ -103,16 +103,17 @@ def energy_parametric(params: ModelParams, spec: KernelSpec, xi_p) -> EnergyBrea
 
     An array xi_p gives array kinetic, interaction and total terms.  The
     confinement term omega0^2/(2 omega_s) carries no xi_p dependence
-    because the density width is held at the exact omega_s.
+    because the density width is held at the exact omega_s, taken from
+    `model._modes` without forming xi: the oracle's scan polish calls this per point.
     """
     if not (0.0 <= params.coupling <= LAMBDA_MAX):
         raise DomainError(
             f"parametric energies are defined for coupling in [0, {LAMBDA_MAX}], "
             f"got {params.coupling}"
         )
-    f = derive_frequencies(params)
-    kinetic = kinetic_parametric(f.omega_s, xi_p)
-    external = params.omega0 ** 2 / (2.0 * f.omega_s)
+    omega_s = _modes(params)[2]
+    kinetic = kinetic_parametric(omega_s, xi_p)
+    external = params.omega0 ** 2 / (2.0 * omega_s)
     bracket = interaction_bracket(spec.q, xi_p)
-    interaction = 0.0 - 0.5 * params.coupling * params.omega0 ** 2 / f.omega_s * bracket
+    interaction = 0.0 - 0.5 * params.coupling * params.omega0 ** 2 / omega_s * bracket
     return EnergyBreakdown.from_terms(kinetic, external, interaction)

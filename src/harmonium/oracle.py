@@ -83,6 +83,8 @@ _GAUSS_HERMITE_N_MAX = 370  # hermgauss weights are all 0 at 371 nodes, inf/NaN 
 #: Points of the brute-force energy scan, and the bracket width at which its polish stops.
 _SCAN_POINTS = 4096
 _SCAN_XTOL = 1e-10
+_SCAN_GRID = np.linspace(0.0, 0.999, _SCAN_POINTS)
+_SCAN_GRID.setflags(write=False)
 #: Relative band above the lowest vectorised scan energy that is rescored on the scalar path.
 _SCAN_RESCORE = 1e-12
 
@@ -261,9 +263,13 @@ def quad_pairs(rule: QuadratureRule, values: np.ndarray) -> float:
     When f(x_i, x_j) == f(x_j, x_i) bit for bit, the full grid holds each
     diagonal term once and each other term twice.  Doubling a rounded term
     is exact short of overflow, so the exact terms, and the one rounding of
-    their sum, are quad_2d's.
+    their sum, are quad_2d's.  `values` is only read.
     """
-    terms = rule.pairs[2] * values
+    return _sum_pairs(rule, rule.pairs[2] * values)
+
+
+def _sum_pairs(rule: QuadratureRule, terms: np.ndarray) -> float:
+    """`quad_pairs` of values already weighted by rule.pairs[2], doubled in place in `terms`."""
     terms[rule.count:] *= 2.0
     return _fsum(terms)
 
@@ -281,17 +287,26 @@ def reference_basis(n_max: int, omega: float, x) -> np.ndarray:
 
     Uses scipy's eval_hermite with the normalization applied through
     lgamma; independent of spectral.hermite_basis by construction.  Safe up
-    to n_max = 170 before unnormalized Hermite values overflow.
+    to n_max = 170 before unnormalized Hermite values overflow.  The norms
+    are computed once per n_max and cached read-only (`_reference_norms`).
     """
     if not 1 <= n_max <= _REFERENCE_N_MAX:
         raise DomainError(f"reference basis supports 1..{_REFERENCE_N_MAX} orbitals, got {n_max}")
     x = np.asarray(x, dtype=float)
     u = math.sqrt(omega) * x
     envelope = np.exp(-0.5 * u ** 2)
-    norms = [math.exp(-0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0)) - 0.25 * math.log(math.pi))
-             for n in range(n_max)]
     n = np.arange(n_max).reshape((-1,) + (1,) * u.ndim)
-    return omega ** 0.25 * (np.reshape(norms, n.shape) * eval_hermite(n, u) * envelope)
+    return omega ** 0.25 * (_reference_norms(n_max)[n] * eval_hermite(n, u) * envelope)
+
+
+@lru_cache(maxsize=16)
+def _reference_norms(n_max: int) -> np.ndarray:
+    """1/sqrt(2^n n! sqrt(pi)) for n < n_max, through lgamma; read-only."""
+    norms = np.array([
+        math.exp(-0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0)) - 0.25 * math.log(math.pi))
+        for n in range(n_max)])
+    norms.setflags(write=False)
+    return norms
 
 
 def _warn_if_shifted(name: str, base, refined, unit: float):
@@ -356,21 +371,29 @@ def hamiltonian_expectation_numeric(
 
 
 def _energy_on_pairs(params: ModelParams, rule: QuadratureRule, psi2=None) -> EnergyBreakdown:
-    """`hamiltonian_expectation_numeric` on `rule`, from psi^2 on its pairs if given."""
+    """`hamiltonian_expectation_numeric` on `rule`, from psi^2 on its pairs if given.
+
+    The plain expressions' operations, in their order, in three reused buffers;
+    psi2 is only read (`run_verification` shares it with `psi_norm`).
+    """
     f = derive_frequencies(params)
     sum_w = 0.5 * (f.omega1 + f.omega2)
     diff_w = 0.5 * (f.omega1 - f.omega2)
-    x1, x2, _ = rule.pairs
+    x1, x2, w = rule.pairs
     psi2 = wavefunction(params, x1, x2) ** 2 if psi2 is None else psi2
-    g1 = -sum_w * x1 - diff_w * x2
-    g2 = -sum_w * x2 - diff_w * x1
-    kin = -0.5 * (g1 ** 2 + g2 ** 2 - 2.0 * sum_w) * psi2
-    ext = 0.5 * params.omega0 ** 2 * (x1 ** 2 + x2 ** 2) * psi2
-    return EnergyBreakdown.from_terms(
-        quad_pairs(rule, kin),
-        quad_pairs(rule, ext),
-        quad_pairs(rule, psi2 * _pair_potential(params, x1 - x2)),
-    )
+    a, b, c = np.empty_like(x1), np.empty_like(x1), np.empty_like(x1)
+    np.subtract(np.multiply(x1, -sum_w, out=a), np.multiply(x2, diff_w, out=c), out=a)  # g1
+    np.subtract(np.multiply(x2, -sum_w, out=b), np.multiply(x1, diff_w, out=c), out=b)  # g2
+    np.add(np.square(a, out=a), np.square(b, out=b), out=a)
+    a -= 2.0 * sum_w
+    a *= -0.5
+    np.add(np.square(x1, out=b), np.square(x2, out=c), out=b)
+    b *= 0.5 * params.omega0 ** 2
+    _pair_potential(params, np.subtract(x1, x2, out=c))
+    for terms in (a, b, c):
+        np.multiply(terms, psi2, out=terms)
+        np.multiply(terms, w, out=terms)
+    return EnergyBreakdown.from_terms(_sum_pairs(rule, a), _sum_pairs(rule, b), _sum_pairs(rule, c))
 
 
 def spectral_kinetic_sum(xi_p: float, omega_p: float) -> float:
@@ -403,8 +426,10 @@ def _kernel_on_grid(
     n1 = density(params, rule.nodes)
     basis = reference_basis(spectrum.truncation, state.omega_p, rule.nodes)
     gq = (basis * (spectrum.weights ** spec.q)[:, None]).T @ basis
-    gq *= (basis * (spectrum.weights ** spec.r)[:, None]).T @ basis
-    kern = np.outer(n1, n1)  # doubled after the product: (2 n1) n1 rounds apart if subnormal
+    kern = np.empty_like(gq)
+    np.matmul((basis * (spectrum.weights ** spec.r)[:, None]).T, basis, out=kern)
+    gq *= kern
+    np.outer(n1, n1, out=kern)  # doubled after the product: (2 n1) n1 rounds apart if subnormal
     return np.subtract(np.multiply(kern, 2.0, out=kern), gq, out=kern)
 
 
@@ -485,7 +510,7 @@ def brute_force_minimize(params: ModelParams, spec: KernelSpec) -> tuple[float, 
     stationarity conditions or bracketing; serves as the independent route
     to the variational minimum.  Returns (xi_p, energy).
     """
-    xs = np.linspace(0.0, 0.999, _SCAN_POINTS)
+    xs = _SCAN_GRID
 
     def objective(x: float) -> float:
         return energy_parametric(params, spec, float(x)).total

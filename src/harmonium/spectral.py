@@ -129,15 +129,13 @@ def one_matrix(spectrum: OccupationSpectrum, omega: float, power: float, x, xp):
 
     power = 1 gives the one-matrix itself; fractional powers give the
     kernels entering the correlation energy.  x and xp broadcast against
-    each other.
+    each other; when xp is x (the diagonal), one basis serves both.
     """
     if not power > 0.0:
         raise DomainError(f"power must be positive, got {power}")
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(xp, dtype=float)
-    bx, bxp = np.broadcast_arrays(x, xp)
+    bx, bxp = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(xp, dtype=float))
     basis_x = hermite_basis(spectrum.truncation, omega, bx)
-    basis_xp = hermite_basis(spectrum.truncation, omega, bxp)
+    basis_xp = basis_x if xp is x else hermite_basis(spectrum.truncation, omega, bxp)
     w = spectrum.weights ** power
     out = np.einsum("n,n...,n...->...", w, basis_x, basis_xp)
     return float(out) if out.ndim == 0 else out

@@ -217,6 +217,50 @@ class TestHamiltonianNumeric:
             hamiltonian_expectation_numeric(P03, rule=gauss_hermite_rule(8, 1.0))
 
 
+def _plain_energy_terms(params, rule, psi2):
+    """The energy check's three sums from the plain expressions, each term weighted,
+    the off-diagonal ones doubled, and summed by math.fsum."""
+    f = derive_frequencies(params)
+    sum_w, diff_w = 0.5 * (f.omega1 + f.omega2), 0.5 * (f.omega1 - f.omega2)
+    x1, x2, w = rule.pairs
+    g1 = -sum_w * x1 - diff_w * x2
+    g2 = -sum_w * x2 - diff_w * x1
+    potential = (x1 - x2) ** 2 * (-0.5 * params.coupling * params.omega0 ** 2)
+    sums = []
+    for values in (-0.5 * (g1 ** 2 + g2 ** 2 - 2.0 * sum_w) * psi2,
+                   0.5 * params.omega0 ** 2 * (x1 ** 2 + x2 ** 2) * psi2,
+                   psi2 * potential):
+        terms = w * values
+        sums.append(math.fsum(np.concatenate([terms[:rule.count], 2.0 * terms[rule.count:]])))
+    return sums
+
+
+class TestEnergyTermsInPlace:
+    @pytest.mark.parametrize("count", [96, 192])
+    @pytest.mark.parametrize("omega0", [1.0, 2.5])
+    @pytest.mark.parametrize("lam", [0.0, 0.01, 0.2731, 0.45])
+    def test_bits_of_the_plain_expressions_and_psi2_only_read(self, count, omega0, lam):
+        # the terms are formed in reused buffers; psi2 is shared with psi_norm
+        # in run_verification, so a write into it would move that check
+        params = ModelParams(omega0=omega0, coupling=lam)
+        f = derive_frequencies(params)
+        rule = gauss_hermite_rule(count, 0.5 * (f.omega1 + f.omega2))
+        psi2 = wavefunction(params, *rule.pairs[:2]) ** 2
+        kept = psi2.copy()
+        kinetic, external, interaction = _plain_energy_terms(params, rule, kept)
+        for given in (psi2, None):
+            e = orc._energy_on_pairs(params, rule, given)
+            assert [e.kinetic.hex(), e.external.hex(), e.interaction.hex(), e.total.hex()] == [
+                kinetic.hex(), external.hex(), interaction.hex(),
+                (kinetic + external + interaction).hex()]
+        assert np.array_equal(psi2, kept)
+        # quad_pairs weights and doubles a new array, never the values it is given
+        terms = rule.pairs[2] * kept
+        norm = math.fsum(np.concatenate([terms[:count], 2.0 * terms[count:]]))
+        assert quad_pairs(rule, psi2) == norm
+        assert np.array_equal(psi2, kept)
+
+
 class TestKineticSum:
     def test_matches_closed_form(self):
         f = derive_frequencies(P03)
@@ -314,6 +358,23 @@ class TestBruteForce:
             assert xi == pytest.approx(root, abs=1e-6)
         xi, e = brute_force_minimize(P03, KernelSpec.sum_one(0.5))
         assert e == pytest.approx(ref.E_TOTAL_03, rel=1e-10)
+
+
+class TestCachedArrays:
+    def test_cached_norms_and_scan_grid_are_read_only(self):
+        # one array per n_max is shared by every reference_basis call, and one
+        # scan grid by every brute_force_minimize call
+        norms = orc._reference_norms(12)
+        assert norms is orc._reference_norms(12)
+        for cached in (norms, orc._SCAN_GRID):
+            with pytest.raises(ValueError):
+                cached[0] = 1.0
+        assert np.array_equal(orc._SCAN_GRID, np.linspace(0.0, 0.999, _SCAN_POINTS))
+
+    def test_scoreboard_repeats_across_couplings(self):
+        first = run_verification(lambdas=(0.2731,), qs=(0.3512, 0.6123))
+        run_verification(omega0=2.5, lambdas=(0.1,), qs=(0.4,))
+        assert run_verification(lambdas=(0.2731,), qs=(0.3512, 0.6123)) == first
 
 
 def _outcome(fn, values):

@@ -137,6 +137,13 @@ class TestOneMatrix:
         squares = np.einsum("n,nx->x", s.weights, hermite_basis(s.truncation, 1.4, x) ** 2)
         assert diag == pytest.approx(squares, rel=1e-13)
 
+    @pytest.mark.parametrize("xi", [0.0, 0.05, 0.4])
+    def test_diagonal_from_one_basis_keeps_its_bits(self, xi):
+        # one_matrix builds one basis when xp is x
+        s = occupation_spectrum(xi)
+        for x in (np.linspace(-4.0, 4.0, 96), np.linspace(-2.0, 2.0, 12).reshape(3, 4)):
+            assert np.array_equal(one_matrix(s, 1.3, 1.0, x, x), one_matrix(s, 1.3, 1.0, x, x.copy()))
+
     def test_bad_power(self):
         with pytest.raises(DomainError):
             one_matrix(occupation_spectrum(0.1), 1.0, 0.0, 0.0, 0.0)
