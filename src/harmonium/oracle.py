@@ -309,65 +309,61 @@ def _reference_norms(n_max: int) -> np.ndarray:
     return norms
 
 
-def _warn_if_shifted(name: str, base, refined, unit: float):
-    """Warn when doubling the nodes moved the value by more than _DOUBLING_TOL of its unit."""
-    shift = float(np.max(np.abs(refined - base)))
-    if shift > _DOUBLING_TOL * unit:
-        warnings.warn(
-            f"{name}: doubling the quadrature nodes moved the value by "
-            f"{shift:.3e} (> {_DOUBLING_TOL * unit:.2g})",
-            AccuracyWarning,
-            stacklevel=3,
-        )
+def _doubling_checked(value, rule: QuadratureRule, unit: float, check: bool, name: str, *args):
+    """value(rule); with check, an AccuracyWarning at the wrapper's caller when value on
+    doubled nodes moves by more than _DOUBLING_TOL * unit, at any point (an energy by its
+    total).  name.format(*args) names the call in the warning."""
+    base = value(rule)
+    if check:
+        refined = value(_doubled(rule))
+        moved = getattr(refined, "total", refined) - getattr(base, "total", base)
+        shift = float(np.max(np.abs(moved)))
+        if shift > _DOUBLING_TOL * unit:
+            warnings.warn(
+                f"{name.format(*args)}: doubling the quadrature nodes moved the value by "
+                f"{shift:.3e} (> {_DOUBLING_TOL * unit:.2g})",
+                AccuracyWarning,
+                stacklevel=3,
+            )
+    return base
 
 
-def one_matrix_numeric(
-    params: ModelParams, x, xp, rule: QuadratureRule | None = None, check: bool = True,
-):
+def one_matrix_numeric(params: ModelParams, x, xp, check: bool = True):
     """One-matrix element as the contraction integral of the pair amplitude.
 
     Integrates psi(x, s) psi(xp, s) over the shared coordinate s, one exact
     quadrature sum per point; x and xp broadcast against each other, and a
-    scalar pair gives a float.  With the default rule the per-axis decay
-    scale is (omega1 + omega2)/2, the exact Gaussian content of the amplitude.
+    scalar pair gives a float.  The 96-node rule has the per-axis decay scale
+    (omega1 + omega2)/2, the exact Gaussian content of the amplitude.
     """
     _check_oracle_window(params)
     f = derive_frequencies(params)
-    if rule is None:
-        rule = gauss_hermite_rule(96, 0.5 * (f.omega1 + f.omega2))
     xs = np.asarray(x, dtype=float)[..., None]
     xps = np.asarray(xp, dtype=float)[..., None]
-
-    def value(grid: QuadratureRule):
-        nodes = grid.nodes
-        return quad_1d(grid, wavefunction(params, xs, nodes) * wavefunction(params, xps, nodes))
-
-    base = value(rule)
-    if check:
-        _warn_if_shifted(f"one_matrix_numeric(x={x}, xp={xp})", base, value(_doubled(rule)),
-                         math.sqrt(params.omega0))
-    return base
+    return _doubling_checked(lambda grid: _one_matrix_on(params, grid, xs, xps),
+                             gauss_hermite_rule(96, 0.5 * (f.omega1 + f.omega2)),
+                             math.sqrt(params.omega0), check,
+                             "one_matrix_numeric(x={}, xp={})", x, xp)
 
 
-def hamiltonian_expectation_numeric(
-    params: ModelParams, rule: QuadratureRule | None = None, check: bool = True
-) -> EnergyBreakdown:
+def _one_matrix_on(params: ModelParams, rule: QuadratureRule, xs: np.ndarray, xps: np.ndarray):
+    """`one_matrix_numeric` on `rule`, at points whose last axis of length 1 takes the nodes."""
+    nodes = rule.nodes
+    return quad_1d(rule, wavefunction(params, xs, nodes) * wavefunction(params, xps, nodes))
+
+
+def hamiltonian_expectation_numeric(params: ModelParams, check: bool = True) -> EnergyBreakdown:
     """Ground-state energy as a two-dimensional quadrature, term by term.
 
     The Laplacian acts analytically on the Gaussian amplitude (psi = N e^g
     with quadratic g, so psi'' = (g'^2 + g'') psi); only the integration is
-    numerical.
+    numerical, on a 96-node rule per axis of scale (omega1 + omega2)/2.
     """
     _check_oracle_window(params)
     f = derive_frequencies(params)
-    if rule is None:
-        rule = gauss_hermite_rule(96, 0.5 * (f.omega1 + f.omega2))
-
-    base = _energy_on_pairs(params, rule)
-    if check:
-        _warn_if_shifted("hamiltonian_expectation_numeric", base.total,
-                         _energy_on_pairs(params, _doubled(rule)).total, params.omega0)
-    return base
+    return _doubling_checked(lambda grid: _energy_on_pairs(params, grid),
+                             gauss_hermite_rule(96, 0.5 * (f.omega1 + f.omega2)),
+                             params.omega0, check, "hamiltonian_expectation_numeric")
 
 
 def _energy_on_pairs(params: ModelParams, rule: QuadratureRule, psi2=None) -> EnergyBreakdown:
@@ -445,31 +441,20 @@ def _interaction_on_grid(params: ModelParams, rule: QuadratureRule, kern: np.nda
 
 
 def kernel_interaction_numeric(
-    params: ModelParams,
-    spec: KernelSpec,
-    state: ParametricState,
-    rule: QuadratureRule | None = None,
-    check: bool = True,
+    params: ModelParams, spec: KernelSpec, state: ParametricState, check: bool = True
 ) -> float:
     """Interaction energy as the plain double integral of kernel times potential.
 
     Integrates K_p(x1, x2) * (-coupling * omega0^2 (x1-x2)^2 / 2) on a
-    tensor grid; the default per-axis scale omega_s matches the slowest
+    96 x 96 tensor grid of per-axis scale omega_s, which matches the slowest
     factor (the direct density term).  The state's q must be the kernel's;
     otherwise DomainError.
     """
     _check_oracle_window(params)
-    f = derive_frequencies(params)
-    if rule is None:
-        rule = gauss_hermite_rule(96, f.omega_s)
-
-    def value(grid: QuadratureRule) -> float:
-        return _interaction_on_grid(params, grid, _kernel_on_grid(params, spec, state, grid))
-
-    base = value(rule)
-    if check:
-        _warn_if_shifted("kernel_interaction_numeric", base, value(_doubled(rule)), params.omega0)
-    return base
+    return _doubling_checked(
+        lambda grid: _interaction_on_grid(params, grid, _kernel_on_grid(params, spec, state, grid)),
+        gauss_hermite_rule(96, derive_frequencies(params).omega_s),
+        params.omega0, check, "kernel_interaction_numeric")
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
@@ -600,7 +585,7 @@ def run_verification(
         lattice = np.linspace(-3.0, 3.0, 7) / root_omega0
         x, xp = lattice[:, None], lattice[None, :]
         series = one_matrix(spectrum, f.omega_bar, 1.0, x, xp)
-        integral = one_matrix_numeric(params, x, xp, check=False)
+        integral = _one_matrix_on(params, psi_rule, x[..., None], xp[..., None])
         checks.append(_entry(
             f"one_matrix_lattice[{tag}]", float(np.max(np.abs(series - integral))), 0.0,
             1e-8 * root_omega0, relative=False,
@@ -616,7 +601,7 @@ def run_verification(
             numeric.kinetic, numeric.external + numeric.interaction, 1e-7 * omega0,
             relative=False,
         ))
-        refined = hamiltonian_expectation_numeric(params, rule=_doubled(psi_rule), check=False)
+        refined = _energy_on_pairs(params, _doubled(psi_rule))
         checks.append(_entry(
             f"node_doubling_hamiltonian[{tag}]",
             numeric.total, refined.total, _DOUBLING_TOL * omega0, relative=False,
@@ -647,9 +632,8 @@ def run_verification(
             checks.append(_entry(
                 f"kernel_interaction[{qtag}]", numeric_inter, closed_inter, 1e-7, relative=True,
             ))
-            refined_inter = kernel_interaction_numeric(
-                params, spec, state, rule=fine_dens_rule, check=False
-            )
+            refined_inter = _interaction_on_grid(
+                params, fine_dens_rule, _kernel_on_grid(params, spec, state, fine_dens_rule))
             checks.append(_entry(
                 f"node_doubling_kernel[{qtag}]",
                 numeric_inter, refined_inter, _DOUBLING_TOL * omega0, relative=False,

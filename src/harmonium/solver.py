@@ -202,21 +202,6 @@ def solve_batch(q, couplings) -> BatchSolution:
     below 1e-290 (BracketError) sets only that row's error.  The first q
     outside [Q_MIN, Q_MAX] in C order raises DomainError instead.
     """
-    return _solve(q, couplings)
-
-
-def solve_xi_p(params: ModelParams, q: float) -> StationaritySolution:
-    """Solve the stationarity condition for xi_p at exponent q.
-
-    A batch of one on the same path as `solve_batch`; the row's error is raised.
-    """
-    return _solve(q, (params.coupling,)).solution(0)
-
-
-def _solve(q, couplings) -> BatchSolution:
-    # The body of solve_batch.  solve_xi_p calls it directly, so that a
-    # single solve is a direct child of solve_xi_p in a trace that wraps the
-    # public functions (benchmark/tracing.py).
     for value in dict.fromkeys(np.ravel(q).tolist()):
         _check_q(value)
     qs, lam = np.broadcast_arrays(np.asarray(q, dtype=float), [float(v) for v in couplings])
@@ -286,6 +271,14 @@ def _solve(q, couplings) -> BatchSolution:
     residual[rows] = np.abs(_lhs(qr, root) - r)
     return BatchSolution(rhs.reshape(shape), xi_p.reshape(shape), iterations.reshape(shape),
                          residual.reshape(shape), tuple(errors))
+
+
+def solve_xi_p(params: ModelParams, q: float) -> StationaritySolution:
+    """Solve the stationarity condition for xi_p at exponent q.
+
+    A `solve_batch` of one; the row's error is raised.
+    """
+    return solve_batch(q, (params.coupling,)).solution(0)
 
 
 def _scalar(f, x: np.ndarray, *args) -> np.ndarray:
@@ -388,7 +381,7 @@ def find_crossing(params_base: ModelParams, q: float) -> float:
         raise NoCrossingError(f"lhs(q, xi) - lhs(1/2, xi) does not rise through 0 between "
                               f"the couplings {_CROSSING_COUPLINGS} for q={q}")
 
-    # The steps of _solve on one row: Newton on log xi from a log-linear
+    # The steps of solve_batch on one row: Newton on log xi from a log-linear
     # interpolation, pushed _TOL/4 toward the root.  A point outside the
     # bracket, or a step that is not downhill or longer than the bracket
     # (< 20 in log xi), gives way to the geometric midpoint.

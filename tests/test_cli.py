@@ -192,6 +192,11 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve")
         assert code == 2 and "error:" in err and out == ""
 
+    def test_more_than_one_q_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--lambda", "0.3", "--q", "0.4", "--q", "0.5")
+        assert code == 2 and out == ""
+        assert "exactly one --q" in err
+
     def test_unstable_coupling(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--lambda", "0.6")
         assert code == 2 and "0.5" in err
@@ -384,6 +389,19 @@ class TestVerify:
 
     def test_default_flags_match_frozen_bytes(self, capsys):
         # the fixture holds the output of `python -m harmonium verify`
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 0
+        assert out == (FIXTURES / "verify_default.json").read_bytes().decode("utf-8")
+
+    def test_scoreboard_does_not_go_through_the_public_wrappers(self, capsys, monkeypatch):
+        # run_verification shares the wrappers' kernels, not the wrappers: with each
+        # wrapper made to raise, the default scoreboard keeps its frozen bytes
+        def refuse(*args, **kwargs):
+            raise AssertionError("a public quadrature wrapper ran")
+
+        for name in ("one_matrix_numeric", "hamiltonian_expectation_numeric",
+                     "kernel_interaction_numeric"):
+            monkeypatch.setattr(orc, name, refuse)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 0
         assert out == (FIXTURES / "verify_default.json").read_bytes().decode("utf-8")

@@ -116,6 +116,11 @@ class TestKinetic:
             with pytest.raises(DomainError):
                 kinetic_parametric(1.0, np.array([0.1, bad]))
 
+    @pytest.mark.parametrize("omega_s", [0.0, float("nan")])
+    def test_nonpositive_scale_is_refused(self, omega_s):
+        with pytest.raises(DomainError, match="omega_s must be positive"):
+            kinetic_parametric(omega_s, 0.1)
+
 
 class TestEnergyParametric:
     def test_exact_recovery_term_by_term(self):

@@ -186,13 +186,6 @@ class TestOneMatrixNumeric:
         with pytest.raises(DomainError):
             one_matrix_numeric(ModelParams(coupling=0.46), 0.0, 0.0)
 
-    def test_coarse_rule_warns(self):
-        rule = gauss_hermite_rule(8, 1.0)
-        with pytest.warns(AccuracyWarning):
-            one_matrix_numeric(P03, 0.7, -0.4, rule=rule, check=True)
-        with pytest.warns(AccuracyWarning):
-            one_matrix_numeric(P03, [0.0, 0.7], -0.4, rule=rule, check=True)
-
 
 class TestHamiltonianNumeric:
     def test_terms_match_closed_form(self):
@@ -211,10 +204,6 @@ class TestHamiltonianNumeric:
     def test_scale_covariance(self):
         e = hamiltonian_expectation_numeric(ModelParams(omega0=2.0, coupling=0.3), check=False)
         assert e.total == pytest.approx(ref.E_TOTAL_03_W2, rel=1e-10)
-
-    def test_coarse_rule_warns(self):
-        with pytest.warns(AccuracyWarning):
-            hamiltonian_expectation_numeric(P03, rule=gauss_hermite_rule(8, 1.0))
 
 
 def _plain_energy_terms(params, rule, psi2):
@@ -330,9 +319,37 @@ class TestKernelNumeric:
             kernel_interaction_numeric(P03, spec, st, check=False)
 
 
+def _kernel_interaction_q04(check):
+    f = derive_frequencies(P03)
+    state = parametric_state(f.omega_s, 0.4, solve_xi_p(P03, 0.4).xi_p)
+    return kernel_interaction_numeric(P03, KernelSpec.sum_one(0.4), state, check=check)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda check: one_matrix_numeric(P03, 0.7, -0.4, check=check),
+     "one_matrix_numeric(x=0.7, xp=-0.4)"),
+    (lambda check: one_matrix_numeric(P03, [0.0, 0.7], -0.4, check=check),
+     "one_matrix_numeric(x=[0.0, 0.7], xp=-0.4)"),
+    (lambda check: hamiltonian_expectation_numeric(P03, check=check),
+     "hamiltonian_expectation_numeric"),
+    (_kernel_interaction_q04, "kernel_interaction_numeric"),
+], ids=["one_matrix", "one_matrix_array", "hamiltonian", "kernel_interaction"])
+def test_doubling_check_warns_at_the_caller(monkeypatch, call, name):
+    # with a zero tolerance any shift under doubled nodes warns, and only
+    # with check=True; the warning points at the line that called the wrapper
+    monkeypatch.setattr(orc, "_DOUBLING_TOL", 0.0)
+    with pytest.warns(AccuracyWarning, match="doubling the quadrature nodes moved") as record:
+        call(check=True)
+    assert [str(w.message).split(":")[0] for w in record] == [name]
+    assert [w.filename for w in record] == [__file__]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(check=False)
+
+
 @pytest.mark.parametrize("omega0", [1e8, 1e20])
 def test_doubling_check_reads_in_the_values_unit(omega0):
-    # converged default rules: the shift under doubled nodes is measured in
+    # the wrappers' converged 96-node rules: the shift under doubled nodes is measured in
     # omega0 for the energies and in sqrt(omega0) for the one-matrix
     params = ModelParams(omega0=omega0, coupling=0.3)
     f = derive_frequencies(params)
@@ -638,7 +655,7 @@ class TestFsumRows:
         full = [quad_2d(rule, v) for v in integrands(rule.nodes[:, None], rule.nodes[None, :])]
         half = [quad_pairs(rule, v) for v in integrands(*rule.pairs[:2])]
         assert [v.hex() for v in half] == [v.hex() for v in full]
-        terms = hamiltonian_expectation_numeric(params, rule, check=False)
+        terms = orc._energy_on_pairs(params, rule)
         assert [terms.kinetic, terms.external, terms.interaction] == full[1:]
 
     @pytest.mark.parametrize("count", [2, 3, 96, 192, 370])
@@ -742,16 +759,16 @@ class TestVerification:
     def test_one_lattice_call_per_coupling(self, monkeypatch):
         # the 7 x 7 lattice is one broadcast call, not one call per point
         calls = []
-        original = orc.one_matrix_numeric
+        original = orc._one_matrix_on
 
         def wrapper(*args, **kwargs):
-            calls.append(args[1:3])
+            calls.append(args[2:4])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(orc, "one_matrix_numeric", wrapper)
+        monkeypatch.setattr(orc, "_one_matrix_on", wrapper)
         run_verification()
         assert len(calls) == 2
-        assert all(np.shape(x) == (7, 1) and np.shape(xp) == (1, 7) for x, xp in calls)
+        assert all(np.shape(x) == (7, 1, 1) and np.shape(xp) == (1, 7, 1) for x, xp in calls)
 
     @pytest.mark.parametrize("omega0", [1e-150, 1e-8, 2.5, 1e8, 1e20, 1e150])
     def test_passes_at_every_omega0(self, omega0):

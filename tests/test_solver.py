@@ -310,7 +310,7 @@ class TestSweep:
 
     def test_nan_coupling_is_refused_before_any_solve(self, monkeypatch):
         # a NaN has no place in the ascending coupling order
-        monkeypatch.setattr(solver_module, "_solve", lambda *args: pytest.fail("solved"))
+        monkeypatch.setattr(solver_module, "solve_batch", lambda *args: pytest.fail("solved"))
         with pytest.raises(DomainError, match="must not be NaN"):
             sweep(BASE, [0.5], [0.2, math.nan, 0.1, math.nan])
 

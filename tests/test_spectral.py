@@ -198,6 +198,8 @@ class TestParametricState:
             ParametricState(q=0.0, xi_p=0.1, omega_p=1.0)
         with pytest.raises(DomainError):
             ParametricState(q=1.0, xi_p=0.1, omega_p=1.0)
+        with pytest.raises(DomainError, match="omega_p must be positive"):
+            ParametricState(0.4, 0.1, 0.0)
         with pytest.raises(DomainError, match="omega_s"):
             parametric_state(0.0, 0.5, 0.1)
         # xi_p is checked before the constraint divides by 1 - xi_p
