@@ -92,6 +92,9 @@ _ROOT_FLOOR = 1e-290
 _MAX_STEPS = 200
 #: Relative width of the sign-change bracket at which a root or crossing stops.
 _TOL = 1e-15
+#: Each Newton point goes this much further toward the root, so that once the Newton
+#: point has converged the next one lands across the root and closes the bracket.
+_PUSH = 0.25 * _TOL
 #: Couplings whose exact xi bracket the ratio crossing.
 _CROSSING_COUPLINGS = (1e-3, LAMBDA_MAX)
 _SCALING_COUPLINGS = tuple(np.geomspace(1e-4, 1e-3, 8).tolist())  # `scaling_exponent` fits these
@@ -140,13 +143,13 @@ def stationarity_lhs(q: float, xi_p):
 def _lhs(q, xi, slope: bool = False):
     """lhs(q, xi) unchecked, and with slope d log lhs / d log xi.  The denominator takes
     xi^(2-2q) - 1 and xi^(2q) - 1 from expm1: its two terms are then both positive, and
-    nothing cancels at the pole.  An array q of 1/2 takes sqrt(xi): numpy's array pow
-    rounds apart."""
+    nothing cancels at the pole.  q = 1/2 takes sqrt(xi): numpy's pow with an array q rounds
+    apart, and a float q of 1/2 gives sqrt already."""
     log = np.log(xi)
     a = xi ** (2.0 * q - 1.0)
     b_1 = np.expm1(2.0 * q * log)
     den = -q * a * np.expm1((2.0 - 2.0 * q) * log) - (1.0 - q) * b_1
-    root = np.where(q == 0.5, np.sqrt(xi), xi ** q) if isinstance(q, np.ndarray) else xi ** q
+    root = np.where(q == 0.5, np.sqrt(xi), xi ** q)
     lhs = root / den * ((1.0 + xi) / (1.0 - xi)) ** 3
     if not slope:
         return lhs
@@ -224,11 +227,9 @@ def solve_batch(q, couplings) -> BatchSolution:
     rows = np.flatnonzero(valid & (lam != 0.0))
 
     # One lhs at x, the exact root at q = 1/2, brackets each row by the slope bound of the
-    # module docstring and gives its first Newton step on log xi.  Each point is pushed
-    # _TOL/4 further toward the root, so that once the Newton point has converged the next
-    # one lands across the root and closes the bracket; a point that leaves the bracket
-    # falls back to the geometric midpoint.  Open rows (i into rows) step on copies that
-    # drop out as they close.
+    # module docstring and is step 0 of the Newton steps on log xi.  Each Newton point is
+    # pushed _PUSH toward the root; a point that leaves the bracket falls back to the
+    # geometric midpoint.  Open rows (i into rows) step on copies that drop out as they close.
     r, qr = rhs[rows], qs[rows]
     one_minus_u = -np.expm1(np.log1p(-2.0 * lam[rows]) / 4.0)  # model._xi over the array
     x = np.maximum((one_minus_u / (2.0 - one_minus_u)) ** 2, _ROOT_FLOOR)
@@ -243,30 +244,29 @@ def solve_batch(q, couplings) -> BatchSolution:
         )
     rows, r, qr, x, f, slope, up, far = (v[~below] for v in (rows, r, qr, x, f, slope, up, far))
     lo, hi = np.where(up, x, far), np.where(up, np.minimum(far, XI_P_MAX), x)
-    nudge = 0.25 * _TOL
-    x = x * np.exp(np.log(r / f) / slope) * np.where(up, 1.0 + nudge, 1.0 - nudge)
-    i = np.flatnonzero(hi - lo > _TOL * lo)
-    lo_i, hi_i, x_i, r_i, q_i = lo[i], hi[i], x[i], r[i], qr[i]
-    for step in range(1, _MAX_STEPS + 1):
-        if not i.size:
-            break
-        outside = ~((lo_i < x_i) & (x_i < hi_i))
-        if outside.any():
-            # lo * hi leaves the normal doubles for brackets below ~1.5e-154; elsewhere
-            # sqrt(lo) * sqrt(hi) would move roots by an ulp
-            lo_o, hi_o = lo_i[outside], hi_i[outside]
-            x_i[outside] = np.where(lo_o * hi_o >= np.finfo(float).tiny, np.sqrt(lo_o * hi_o),
-                                    np.sqrt(lo_o) * np.sqrt(hi_o))
-        # every iterate lies inside its bracket, within (0, 1): no domain check
-        f, slope = _lhs(q_i, x_i, slope=True)
-        up = f < r_i
-        lo_i = np.where(up | (f == r_i), x_i, lo_i)
-        hi_i = np.where(up, hi_i, x_i)
-        x_i = x_i * np.exp(np.log(r_i / f) / slope) * np.where(up, 1.0 + nudge, 1.0 - nudge)
-        lo[i], hi[i], iterations[rows[i]] = lo_i, hi_i, step
+    i, lo_i, hi_i, x_i, r_i, q_i = np.arange(rows.size), lo, hi, x, r, qr
+    for step in range(_MAX_STEPS + 1):
+        if step:
+            outside = ~((lo_i < x_i) & (x_i < hi_i))
+            if outside.any():
+                # lo * hi leaves the normal doubles for brackets below ~1.5e-154; elsewhere
+                # sqrt(lo) * sqrt(hi) would move roots by an ulp
+                lo_o, hi_o = lo_i[outside], hi_i[outside]
+                x_i[outside] = np.where(lo_o * hi_o >= np.finfo(float).tiny, np.sqrt(lo_o * hi_o),
+                                        np.sqrt(lo_o) * np.sqrt(hi_o))
+            # every iterate lies inside its bracket, within (0, 1): no domain check
+            f, slope = _lhs(q_i, x_i, slope=True)
+            up = f < r_i
+            lo_i = np.where(up | (f == r_i), x_i, lo_i)
+            hi_i = np.where(up, hi_i, x_i)
+            lo[i], hi[i], iterations[rows[i]] = lo_i, hi_i, step
+        x_i = x_i * np.exp(np.log(r_i / f) / slope) * np.where(up, 1.0 + _PUSH, 1.0 - _PUSH)
         go = hi_i - lo_i > _TOL * lo_i
         if not go.all():
-            i, lo_i, hi_i, x_i, r_i, q_i = i[go], lo_i[go], hi_i[go], x_i[go], r_i[go], q_i[go]
+            i, lo_i, hi_i, x_i, r_i, q_i, f, slope, up = (
+                v[go] for v in (i, lo_i, hi_i, x_i, r_i, q_i, f, slope, up))
+        if not i.size:
+            break
     xi_p[rows] = root = 0.5 * (lo + hi)
     residual[rows] = np.abs(_lhs(qr, root) - r)
     return BatchSolution(rhs.reshape(shape), xi_p.reshape(shape), iterations.reshape(shape),
@@ -382,11 +382,10 @@ def find_crossing(params_base: ModelParams, q: float) -> float:
                               f"the couplings {_CROSSING_COUPLINGS} for q={q}")
 
     # The steps of solve_batch on one row: Newton on log xi from a log-linear
-    # interpolation, pushed _TOL/4 toward the root.  A point outside the
+    # interpolation, pushed _PUSH toward the root.  A point outside the
     # bracket, or a step that is not downhill or longer than the bracket
     # (< 20 in log xi), gives way to the geometric midpoint.
     x = lo * (hi / lo) ** (g_lo / (g_lo - g_hi))
-    nudge = 0.25 * _TOL
     for _ in range(_MAX_STEPS):
         if hi - lo <= _TOL * lo:
             break
@@ -398,7 +397,7 @@ def find_crossing(params_base: ModelParams, q: float) -> float:
         if g >= 0.0:
             hi = x
         step = -g / slope if slope > 0.0 else math.inf
-        x = hi if step >= 20.0 else x * math.exp(step) * (1.0 + nudge if g < 0.0 else 1.0 - nudge)
+        x = hi if step >= 20.0 else x * math.exp(step) * (1.0 + _PUSH if g < 0.0 else 1.0 - _PUSH)
     s = math.sqrt(0.5 * (lo + hi))
     u = (1.0 - s) / (1.0 + s)
     return 0.5 * (1.0 - u ** 4)

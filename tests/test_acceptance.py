@@ -1,4 +1,4 @@
-"""Release gate: nine end-to-end checks with stated tolerances and budgets.
+"""Release gate: ten end-to-end checks with stated tolerances and budgets.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one [PASS]/[FAIL]
 line per check; each line carries the measured figure and its bound.
@@ -26,6 +26,7 @@ from harmonium import (
     linear_entropy,
     run_verification,
     scaling_exponent,
+    solve_batch,
     solve_xi_p,
 )
 from harmonium.cli import main as cli_main
@@ -104,6 +105,43 @@ def test_exact_recovery_at_square_root_exponent():
     _report(ok, "exact-recovery",
             f"max |xi_p - xi| {worst_xi:.2e}, max relative energy gap {worst_e:.2e} "
             f"(bounds 1e-10), {elapsed:.2f}s (budget 5s)")
+
+
+def test_variational_search_peaks_at_the_exact_energy():
+    """The stationary energy E*(q) over q in [0.3, 0.7] peaks at q = 1/2, where it
+    is the exact energy, with curvature c(coupling) = coupling omega0^2/(2 omega_s)
+    (ln xi)^2 sqrt(xi)/(1 + xi): E*(q) ~ E_ex - c (q - 1/2)^2."""
+    start = time.perf_counter()
+    grid = [round(0.3 + 0.01 * k, 2) for k in range(41)]
+    steps = (2e-3, 1e-3)
+    qs = grid + [0.5 + h for h in steps] + [0.5 - h for h in steps]
+    worst_peak = worst_curvature = 0.0
+    details = []
+    ok = True
+    for lam in (0.01, 0.1, 0.3, 0.45):
+        params = ModelParams(coupling=lam)
+        f = derive_frequencies(params)
+        roots = solve_batch(np.array(qs)[:, None], [lam]).xi_p.ravel().tolist()
+        e_star = {q: energy_parametric(params, KernelSpec.sum_one(q), x).total
+                  for q, x in zip(qs, roots)}
+        e_ex = exact_energy(params).total
+        worst_peak = max(worst_peak, abs(e_star[0.5] - e_ex) / e_ex)
+        below = max(e_star[q] - e_ex for q in grid if q != 0.5)
+        # -(E(1/2 + h) + E(1/2 - h) - 2 E(1/2)) / (2 h^2) = c + O(h^2), Richardson-extrapolated
+        second = [(e_star[0.5 + h] + e_star[0.5 - h] - 2.0 * e_star[0.5]) / (2.0 * h * h)
+                  for h in steps]
+        curvature = -(4.0 * second[1] - second[0]) / 3.0
+        c = lam * params.omega0 ** 2 / (2.0 * f.omega_s) * math.log(f.xi) ** 2 \
+            * math.sqrt(f.xi) / (1.0 + f.xi)
+        worst_curvature = max(worst_curvature, abs(curvature - c) / c)
+        ok = ok and below < 0.0
+        details.append(f"lambda={lam}: max E*(q != 1/2) - E_ex {below:.2e}")
+    elapsed = time.perf_counter() - start
+    ok = ok and worst_peak <= 1e-12 and worst_curvature <= 1e-6 and elapsed < 5.0
+    _report(ok, "variational-search",
+            "; ".join(details) + f" (bound < 0); E*(1/2) within {worst_peak:.1e} of E_ex "
+            f"(bound 1e-12); curvature within {worst_curvature:.1e} of c (bound 1e-6), "
+            f"{elapsed:.2f}s (budget 5s)")
 
 
 def test_ratio_curves_cross_once():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,8 @@ from harmonium import (
     KernelSpec,
     ModelParams,
     NoCrossingError,
+    Q_MAX,
+    Q_MIN,
     derive_frequencies,
     dual_coupling,
     energy_parametric,
@@ -378,6 +381,9 @@ class TestBatch:
             batch = solve_batch(q, np.geomspace(1e-9, 0.4999, 64))
             assert all(e is None for e in batch.errors)
             assert batch.iterations.max() <= 10
+        # at q = 1/2 the start is the root: step 0's bracket closes most rows, and they
+        # take no Newton step
+        assert np.count_nonzero(solve_batch(0.5, np.geomspace(1e-9, 0.4999, 64)).iterations) < 16
 
     def test_per_row_errors(self):
         batch = solve_batch(0.4, [0.0, 0.3, 0.49995, -0.1])
@@ -423,6 +429,19 @@ class TestBatch:
                 else:
                     assert "down to xi_p = 1e-290" in str(error), (q, i)
             assert batch.errors[-1] is None, q
+
+    def test_window_edges_solve_without_warnings(self):
+        # the evidence for the q window: at its edges every coupling down to 1e-300 gets a
+        # root or a BracketError with no floating-point warning, where at q = 0.2 and 0.8
+        # the slope-bound bracket overflows in (r / f) ** (1 / min(q, 1 - q))
+        lams = np.unique([*np.geomspace(1e-300, 0.4999, 600), *np.linspace(1e-3, 0.4999, 300)])
+        for q in (Q_MIN, Q_MAX):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                batch = solve_batch(q, lams)
+            for x, error in zip(batch.xi_p.tolist(), batch.errors):
+                assert (error is None and 0.0 < x < 1.0) or isinstance(error, BracketError), (q, x)
+            assert 0 < sum(error is not None for error in batch.errors) < lams.size
 
     @settings(max_examples=30, deadline=None)
     @given(
