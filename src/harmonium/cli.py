@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import gc
 import io
 import json
 import math
@@ -326,4 +327,7 @@ def main(argv=None) -> int:
 
 
 def run():
+    # the interpreter's exit-time collections then skip the objects the
+    # imports made, which stay alive until the process ends anyway
+    gc.freeze()
     raise SystemExit(main())

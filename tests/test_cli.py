@@ -435,17 +435,19 @@ class TestVerify:
     def test_bytes_do_not_depend_on_blas_threads(self, fixture, argv):
         # the gamma powers on the kernel grid are BLAS matrix products, whose
         # summation order may follow the thread count; OpenBLAS reads it once
-        # at import, hence one process per setting.  Only 1 and 2 threads are
-        # compared, as the suite runs on 2-core machines; more stay untested.
+        # at import, hence one process per setting.  Unset is the package's
+        # default of one thread; a caller's 2 is compared too, as the suite
+        # runs on 2-core machines.
+        caller = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
         outs = {
             threads: subprocess.run(
                 [sys.executable, "-m", "harmonium", "verify", *argv],
                 capture_output=True, check=True,
-                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                env=caller if threads is None else {**caller, "OPENBLAS_NUM_THREADS": threads},
             ).stdout
-            for threads in ("1", "2")
+            for threads in (None, "1", "2")
         }
-        assert outs["1"] == outs["2"] == (FIXTURES / fixture).read_bytes()
+        assert outs[None] == outs["1"] == outs["2"] == (FIXTURES / fixture).read_bytes()
 
     @pytest.mark.parametrize("qs, error", [
         (("0.2", "1.5"), "exponent q must lie in [0.3, 0.7], got 0.2"),
@@ -654,3 +656,17 @@ class TestOutput:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0].startswith("omega0,")
+
+    def test_run_freezes_the_import_heap(self):
+        # cli.run, the entry of `python -m harmonium` and of the console script,
+        # moves what the imports made out of the exit-time collections' reach
+        code = ("import atexit, gc, sys; "
+                "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr)); "
+                "from harmonium.cli import run; run()")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "solve", "--lambda", "0.3", "--q", "0.4"],
+            capture_output=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == (FIXTURES / "solve_q04.csv").read_bytes()
+        assert proc.stderr == b"True\n"

@@ -1,9 +1,13 @@
 """The package namespace is the union of the layer modules' exports."""
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import harmonium
 from harmonium import entropy, errors, model, mueller, oracle, solver, spectral
@@ -62,6 +66,24 @@ def test_import_loads_every_layer():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc/self/task")
+@pytest.mark.skipif("openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
+                    reason="numpy's BLAS is not OpenBLAS")
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_import_pins_blas_threads_unless_the_caller_chose(threads):
+    # a fresh interpreter: OpenBLAS starts its worker threads when numpy loads it
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    code = ("import os, harmonium; "
+            "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env=env)
+    count, value = proc.stdout.split()
+    assert value == str(threads)
+    assert int(count) == 1 if threads is None else int(count) > 1
 
 
 def _reached_names() -> set:
