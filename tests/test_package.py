@@ -83,7 +83,7 @@ def test_import_pins_blas_threads_unless_the_caller_chose(threads):
                           env=env)
     count, value = proc.stdout.split()
     assert value == str(threads)
-    assert int(count) == 1 if threads is None else int(count) > 1
+    assert (int(count) == 1) if threads is None else (int(count) > 1)
 
 
 def _reached_names() -> set:
