@@ -27,6 +27,7 @@ kernel itself is evaluated pointwise only by the quadrature oracle (module
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +87,8 @@ def interaction_bracket(q: float, xi):
 def kinetic_parametric(omega_s: float, xi_p):
     """Two-particle kinetic energy omega_s/2 ((1+xi_p)/(1-xi_p))^2 of the family,
     for scalar or array xi_p."""
-    if not omega_s > 0.0:
-        raise DomainError(f"omega_s must be positive, got {omega_s}")
+    if not 0.0 < omega_s < math.inf:
+        raise DomainError(f"omega_s must be positive and finite, got {omega_s}")
     if isinstance(xi_p, (float, int)):
         valid = 0.0 <= xi_p <= XI_P_MAX
     else:

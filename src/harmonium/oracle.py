@@ -144,8 +144,8 @@ def gauss_hermite_rule(count: int = 96, scale: float = 1.0) -> QuadratureRule:
             f"Gauss-Hermite weights are finite and positive only up to "
             f"{_GAUSS_HERMITE_N_MAX} nodes, got {count}"
         )
-    if not scale > 0.0:
-        raise DomainError(f"scale must be positive, got {scale}")
+    if not 0.0 < scale < math.inf:
+        raise DomainError(f"scale must be positive and finite, got {scale}")
     t, w = _hermgauss(count)
     root = math.sqrt(scale)
     nodes = t / root

@@ -24,9 +24,10 @@ relative accuracy.  `solve_batch` takes (q, coupling) rows.  Each row starts
 at x0 = max(xi(coupling), 1e-290), the closed-form root at q = 1/2, where one
 lhs evaluation with its log-slope brackets the root (below) and gives the
 first Newton step on log xi_p.  All rows then advance together by Newton
-steps, falling back to the geometric midpoint whenever a step would leave
-the bracket, until each sign-change bracket is narrower than 1e-15
-relative, which keeps every root residual at or below 1e-13 * max(1, rhs).
+steps on one set of arrays, falling back to the geometric midpoint whenever
+a step would leave the bracket.  A mask freezes each row's sign-change bracket
+once it is narrower than 1e-15 relative, which keeps every root residual at or
+below 1e-13 * max(1, rhs); a closed row steps on until every row has closed.
 Each step forms lhs and d log lhs / d log xi_p from one set of powers,
 without a domain check, as the brackets keep every iterate inside (0, 1);
 the denominator's differences xi^(2-2q) - 1 and xi^(2q) - 1 come from expm1,
@@ -53,8 +54,8 @@ lhs(q, 1e-290) > rhs, that is when its root lies below 1e-290 (at coupling
 1e-300, for example).
 
 The ratio crossing xi_p = xi needs no solve: as q = 1/2 recovers the exact
-xi, `find_crossing` takes the root of lhs(q, xi) = lhs(1/2, xi) by the same
-Newton steps and maps it to a coupling in closed form.
+xi, `find_crossing` takes the root of lhs(q, xi) = lhs(1/2, xi) by a scalar
+loop on libm with the same step rule, and maps it to a coupling in closed form.
 """
 
 from __future__ import annotations
@@ -229,7 +230,8 @@ def solve_batch(q, couplings) -> BatchSolution:
     # One lhs at x, the exact root at q = 1/2, brackets each row by the slope bound of the
     # module docstring and is step 0 of the Newton steps on log xi.  Each Newton point is
     # pushed _PUSH toward the root; a point that leaves the bracket falls back to the
-    # geometric midpoint.  Open rows (i into rows) step on copies that drop out as they close.
+    # geometric midpoint.  Every row steps until all have closed; the mask `go` of the rows
+    # still open freezes the brackets, and so the roots, of the closed ones.
     r, qr = rhs[rows], qs[rows]
     one_minus_u = -np.expm1(np.log1p(-2.0 * lam[rows]) / 4.0)  # model._xi over the array
     x = np.maximum((one_minus_u / (2.0 - one_minus_u)) ** 2, _ROOT_FLOOR)
@@ -244,28 +246,23 @@ def solve_batch(q, couplings) -> BatchSolution:
         )
     rows, r, qr, x, f, slope, up, far = (v[~below] for v in (rows, r, qr, x, f, slope, up, far))
     lo, hi = np.where(up, x, far), np.where(up, np.minimum(far, XI_P_MAX), x)
-    i, lo_i, hi_i, x_i, r_i, q_i = np.arange(rows.size), lo, hi, x, r, qr
     for step in range(_MAX_STEPS + 1):
         if step:
-            outside = ~((lo_i < x_i) & (x_i < hi_i))
+            outside = ~((lo < x) & (x < hi))
             if outside.any():
                 # lo * hi leaves the normal doubles for brackets below ~1.5e-154; elsewhere
                 # sqrt(lo) * sqrt(hi) would move roots by an ulp
-                lo_o, hi_o = lo_i[outside], hi_i[outside]
-                x_i[outside] = np.where(lo_o * hi_o >= np.finfo(float).tiny, np.sqrt(lo_o * hi_o),
-                                        np.sqrt(lo_o) * np.sqrt(hi_o))
+                lo_o, hi_o = lo[outside], hi[outside]
+                x[outside] = np.where(lo_o * hi_o >= np.finfo(float).tiny, np.sqrt(lo_o * hi_o),
+                                      np.sqrt(lo_o) * np.sqrt(hi_o))
             # every iterate lies inside its bracket, within (0, 1): no domain check
-            f, slope = _lhs(q_i, x_i, slope=True)
-            up = f < r_i
-            lo_i = np.where(up | (f == r_i), x_i, lo_i)
-            hi_i = np.where(up, hi_i, x_i)
-            lo[i], hi[i], iterations[rows[i]] = lo_i, hi_i, step
-        x_i = x_i * np.exp(np.log(r_i / f) / slope) * np.where(up, 1.0 + _PUSH, 1.0 - _PUSH)
-        go = hi_i - lo_i > _TOL * lo_i
-        if not go.all():
-            i, lo_i, hi_i, x_i, r_i, q_i, f, slope, up = (
-                v[go] for v in (i, lo_i, hi_i, x_i, r_i, q_i, f, slope, up))
-        if not i.size:
+            f, slope = _lhs(qr, x, slope=True)
+            up = f < r
+            lo, hi = np.where(go & (up | (f == r)), x, lo), np.where(go & ~up, x, hi)
+            iterations[rows[go]] = step
+        x = x * np.exp(np.log(r / f) / slope) * np.where(up, 1.0 + _PUSH, 1.0 - _PUSH)
+        go = hi - lo > _TOL * lo  # a closed bracket stays closed: it no longer moves
+        if not go.any():
             break
     xi_p[rows] = root = 0.5 * (lo + hi)
     residual[rows] = np.abs(_lhs(qr, root) - r)
@@ -367,10 +364,10 @@ def find_crossing(params_base: ModelParams, q: float) -> float:
     q = 1/2 recovers the exact xi at every coupling, so the crossing xi solves
     lhs(q, xi) = lhs(1/2, xi), an equation without the coupling.  The gap of
     the two sides rises through 0 on the xi images of couplings [1e-3,
-    LAMBDA_MAX]; the safeguarded Newton steps of `solve_batch` find its root
-    to the same 1e-15 relative bracket width in xi, and the coupling follows
-    as (1 - u^4)/2 with u = (1 - sqrt(xi))/(1 + sqrt(xi)).  Nothing depends
-    on omega0, so params_base is unread, kept only for positional callers.
+    LAMBDA_MAX]; a scalar libm loop with `solve_batch`'s Newton step rule finds
+    its root to the same 1e-15 relative bracket width in xi, and the coupling
+    follows as (1 - u^4)/2 with u = (1 - sqrt(xi))/(1 + sqrt(xi)).  Nothing
+    depends on omega0, so params_base is unread, kept only for positional callers.
     """
     _check_q(q)
     if q == 0.5:
@@ -381,7 +378,7 @@ def find_crossing(params_base: ModelParams, q: float) -> float:
         raise NoCrossingError(f"lhs(q, xi) - lhs(1/2, xi) does not rise through 0 between "
                               f"the couplings {_CROSSING_COUPLINGS} for q={q}")
 
-    # The steps of solve_batch on one row: Newton on log xi from a log-linear
+    # The step rule of solve_batch on one row: Newton on log xi from a log-linear
     # interpolation, pushed _PUSH toward the root.  A point outside the
     # bracket, or a step that is not downhill or longer than the bracket
     # (< 20 in log xi), gives way to the geometric midpoint.

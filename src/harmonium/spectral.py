@@ -111,8 +111,8 @@ def hermite_basis(n_max: int, omega: float, x) -> np.ndarray:
     """
     if n_max < 1:
         raise DomainError(f"need at least one orbital, got n_max={n_max}")
-    if not omega > 0.0:
-        raise DomainError(f"orbital frequency must be positive, got {omega}")
+    if not 0.0 < omega < math.inf:
+        raise DomainError(f"orbital frequency must be positive and finite, got {omega}")
     x = np.asarray(x, dtype=float)
     u = math.sqrt(omega) * x
     out = np.empty((n_max,) + u.shape)
@@ -131,8 +131,8 @@ def one_matrix(spectrum: OccupationSpectrum, omega: float, power: float, x, xp):
     kernels entering the correlation energy.  x and xp broadcast against
     each other; when xp is x (the diagonal), one basis serves both.
     """
-    if not power > 0.0:
-        raise DomainError(f"power must be positive, got {power}")
+    if not 0.0 < power < math.inf:
+        raise DomainError(f"power must be positive and finite, got {power}")
     bx, bxp = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(xp, dtype=float))
     basis_x = hermite_basis(spectrum.truncation, omega, bx)
     basis_xp = basis_x if xp is x else hermite_basis(spectrum.truncation, omega, bxp)
@@ -153,8 +153,8 @@ class ParametricState:
         if not (0.0 < self.q < 1.0):
             raise DomainError(f"kernel power q must lie in (0, 1), got {self.q}")
         _check_xi(self.xi_p, "xi_p")
-        if not self.omega_p > 0.0:
-            raise DomainError(f"omega_p must be positive, got {self.omega_p}")
+        if not 0.0 < self.omega_p < math.inf:
+            raise DomainError(f"omega_p must be positive and finite, got {self.omega_p}")
 
 
 def parametric_state(omega_s: float, q: float, xi_p: float) -> ParametricState:
@@ -162,7 +162,7 @@ def parametric_state(omega_s: float, q: float, xi_p: float) -> ParametricState:
 
     At xi_p = xi this is the exact state: omega_p = omega_bar.
     """
-    if not omega_s > 0.0:
-        raise DomainError(f"omega_s must be positive, got {omega_s}")
+    if not 0.0 < omega_s < math.inf:
+        raise DomainError(f"omega_s must be positive and finite, got {omega_s}")
     _check_xi(xi_p, "xi_p")
     return ParametricState(q=q, xi_p=xi_p, omega_p=omega_s * (1.0 + xi_p) / (1.0 - xi_p))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_values as ref
@@ -496,6 +496,13 @@ class TestOneLoop:
     @given(qs=_EXPONENTS, seed=st.integers(0, 2 ** 32 - 1), edges=_EDGE_COUPLINGS,
            refused=st.lists(st.floats(allow_nan=True).filter(lambda v: not 0.0 <= v <= LAMBDA_MAX),
                             max_size=3))
+    # Rows close at different steps, and the closed ones must hold still while the others
+    # step: q = 1/2 rows close at step 0 or 1; of the slowest rows over 41 q in [0.3, 0.7],
+    # 0.21173709273182958 takes 8 steps at q = 0.3 and 0.23150850354314298 takes 9 at
+    # q = 0.43; 1e-300 falls below the root floor and 0.6 is refused before any step.
+    @example(qs=[0.5], seed=0, edges=[], refused=[])
+    @example(qs=[0.3, 0.43], seed=0, edges=[0.21173709273182958, 0.23150850354314298], refused=[])
+    @example(qs=[0.3, 0.5], seed=1, edges=[0.21173709273182958, 1e-300], refused=[0.6])
     def test_rows_match_one_row_solves(self, qs, seed, edges, refused):
         # each coupling with one of the drawn exponents, and every exponent on every coupling
         lams = _window_couplings(seed, 12) + edges + refused

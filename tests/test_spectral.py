@@ -13,7 +13,9 @@ from harmonium import (
     ParametricState,
     density,
     derive_frequencies,
+    gauss_hermite_rule,
     hermite_basis,
+    kinetic_parametric,
     occupation_spectrum,
     one_matrix,
     parametric_state,
@@ -205,3 +207,18 @@ class TestParametricState:
         # xi_p is checked before the constraint divides by 1 - xi_p
         with pytest.raises(DomainError, match="xi_p"):
             parametric_state(1.0, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: hermite_basis(2, math.inf, 1.0),
+    lambda: one_matrix(occupation_spectrum(0.1), 1.0, math.inf, 0.0, 0.0),
+    lambda: ParametricState(0.4, 0.1, math.inf),
+    lambda: parametric_state(math.inf, 0.4, 0.1),
+    lambda: kinetic_parametric(math.inf, 0.1),
+    lambda: gauss_hermite_rule(96, math.inf),
+], ids=["hermite_basis", "one_matrix", "ParametricState", "parametric_state",
+        "kinetic_parametric", "gauss_hermite_rule"])
+def test_infinite_frequency_or_power_is_refused(build):
+    # +inf passes a bare `> 0.0` check, then gives NaN orbitals, inf energies or zero weights
+    with pytest.raises(DomainError, match="must be positive"):
+        build()

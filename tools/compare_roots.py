@@ -9,12 +9,15 @@ which runs
 - `solve_batch` on 281 q of [0.3, 0.7] against 4 409 couplings: 4 000
   geometric from 1e-300 to 0.4999, 400 linear from 0 to 0.4999, and 9
   outside the stability window (0.5 and above, negative, infinite, NaN);
+- `find_crossing` at each of those q but 1/2, where there is no crossing;
 - `stationarity_lhs` on the 63 q = k/64 against a seeded draw of 45 000 xi
   in (0, 1), and on the first 100 of those xi as Python floats,
 
 and prints one sha256 digest per q for each of `xi_p`, `residual`, `rhs`,
-`iterations` (with its dtype), the error texts and the lhs values.  The
-digests are compared, and the script exits 1 on any difference, naming the
+`iterations` (with its dtype), the error texts and the lhs values, and the
+crossing as `float.hex`.  Together they cover both of the solver's Newton
+loops: the array one of `solve_batch` and the scalar one of `find_crossing`.
+The digests are compared, and the script exits 1 on any difference, naming the
 arrays and q where the trees part, and 0 when every digest agrees.  Rows are
 solved in blocks of q, which leaves each row's steps as they are.
 """
@@ -56,7 +59,8 @@ def _text_digest(texts) -> str:
 def dump():
     """Print the digests of the `harmonium` on sys.path, one JSON object per line."""
     import harmonium
-    from harmonium.solver import solve_batch, stationarity_lhs
+    from harmonium import ModelParams
+    from harmonium.solver import find_crossing, solve_batch, stationarity_lhs
 
     print(json.dumps({"package": harmonium.__file__}))
     for start in range(0, Q_GRID.size, _BLOCK):
@@ -65,10 +69,12 @@ def dump():
         errors = np.array(["" if e is None else f"{type(e).__name__}: {e}" for e in batch.errors],
                           object).reshape(batch.xi_p.shape)
         for k, q in enumerate(qs.tolist()):
-            print(json.dumps({"at": f"solve_batch q={q!r}", "xi_p": _digest(batch.xi_p[k]),
-                              "residual": _digest(batch.residual[k]), "rhs": _digest(batch.rhs[k]),
-                              "iterations": _digest(batch.iterations[k]),
-                              "errors": _text_digest(errors[k])}))
+            record = {"at": f"q={q!r}", "xi_p": _digest(batch.xi_p[k]),
+                      "residual": _digest(batch.residual[k]), "rhs": _digest(batch.rhs[k]),
+                      "iterations": _digest(batch.iterations[k]), "errors": _text_digest(errors[k])}
+            if q != 0.5:
+                record["crossing"] = find_crossing(ModelParams(), q).hex()
+            print(json.dumps(record))
     xi = _lhs_draw()
     scalars = xi[:100].tolist()
     for q in LHS_Q:
@@ -108,7 +114,8 @@ def main(argv: list[str]) -> int:
         print(f"{len(differences)} digests differ")
         return 1
     print(f"identical: {Q_GRID.size} q x {len(COUPLINGS)} couplings of solve_batch "
-          f"(xi_p, residual, rhs, iterations, errors); {len(LHS_Q)} q x {_lhs_draw().size} xi "
+          f"(xi_p, residual, rhs, iterations, errors); {Q_GRID.size - 1} q of find_crossing; "
+          f"{len(LHS_Q)} q x {_lhs_draw().size} xi "
           f"of stationarity_lhs, and 100 scalar xi per q")
     return 0
 
